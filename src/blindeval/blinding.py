@@ -8,7 +8,6 @@ once written and one plan serves all judges of a case.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -17,6 +16,7 @@ from pathlib import Path
 from .corpus import SourceCase
 from .errors import BlindingError, BlindingLeakError
 from .rng import Splitmix64, mix_seed
+from .store import from_doc, read_json, to_doc, write_json
 
 ALGORITHM = "splitmix64/fisher-yates/v1"
 FIXTURE_ALGORITHM = "fixture/paper-layout"
@@ -167,38 +167,14 @@ def assert_no_leaks(text: str, case: SourceCase, where: str) -> None:
 
 # --- persistence -------------------------------------------------------------
 
-def plan_to_json(plan: BlindPlan) -> str:
-    doc = {
-        "case_id": plan.case_id,
-        "seed": plan.seed,
-        "algorithm": plan.algorithm,
-        "permutation": list(plan.permutation),
-        "created_at": plan.created_at,
-    }
-    return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-
-
-def plan_from_json(text: str) -> BlindPlan:
-    raw = json.loads(text)
-    return BlindPlan(
-        case_id=raw["case_id"],
-        seed=raw["seed"],
-        algorithm=raw["algorithm"],
-        permutation=tuple(raw["permutation"]),
-        created_at=raw["created_at"],
-    )
-
-
 def save_plan(plan: BlindPlan, blinding_dir: Path) -> Path:
-    path = Path(blinding_dir) / f"{plan.case_id}.json"
-    path.write_text(plan_to_json(plan), encoding="utf-8")
-    return path
+    return write_json(Path(blinding_dir) / f"{plan.case_id}.json", to_doc(plan))
 
 
 def load_plans(blinding_dir: Path) -> dict[str, BlindPlan]:
     plans = {}
     for path in sorted(Path(blinding_dir).glob("*.json")):
-        plan = plan_from_json(path.read_text(encoding="utf-8"))
+        plan = from_doc(BlindPlan, read_json(path), path)
         plans[plan.case_id] = plan
     return plans
 

@@ -14,15 +14,14 @@ import sys
 from pathlib import Path
 
 from . import blinding, fixtures, judge, parse as parsing, persona, report, scaffold, stats
-from .corpus import case_from_json, case_to_json, load_corpus, save_case, validate_corpus
-from .errors import HarnessError, RunDirectoryError, ValidationError
+from .corpus import SourceCase, load_corpus, save_case, validate_corpus
+from .errors import HarnessError, ValidationError
 from .provider import (KNOWN_PROVIDERS, ProviderConfig, TranscriptStore, make_mock_transport,
                        make_scaffold_mock_transport, mock_config)
 from .rng import mix_seed
 from .rundir import RunDirectory
 from .scoretable import save_table_csv, table_from_records
-
-_MOCK_MODELS = ("gpt", "gemini")
+from .store import dumps, from_doc, read_json, to_doc
 
 
 def main(argv=None) -> int:
@@ -126,21 +125,7 @@ def dispatch(args) -> int:
 
     run = RunDirectory.open(Path(args.dir))
     with run.lock():
-        if args.command == "case":
-            return cmd_case(run, args)
-        if args.command == "blind":
-            return cmd_blind(run, args)
-        if args.command == "scaffold":
-            return cmd_scaffold(run, args)
-        if args.command == "evaluate":
-            return cmd_evaluate(run, args)
-        if args.command == "parse":
-            return cmd_parse(run, args)
-        if args.command == "stats":
-            return cmd_stats(run, args)
-        if args.command == "report":
-            return cmd_report(run, args)
-    raise RunDirectoryError(f"unknown command {args.command!r}")
+        return VERBS[args.command](run, args)
 
 
 # --- verbs -------------------------------------------------------------------
@@ -150,7 +135,7 @@ def cmd_case(run: RunDirectory, args) -> int:
     corpus = load_corpus(run.path("cases"))
     if args.case_command == "add":
         for file in args.files:
-            case = case_from_json(Path(file).read_text(encoding="utf-8"))
+            case = from_doc(SourceCase, read_json(file), file)
             corpus.add(case)
             violations = [v for v in validate_corpus(corpus) if v.case_id == case.id]
             if violations:
@@ -171,7 +156,7 @@ def cmd_case(run: RunDirectory, args) -> int:
     if args.case_command == "show":
         case = corpus.get(args.case_id)
         if args.json:
-            print(case_to_json(case), end="")
+            print(dumps(to_doc(case)), end="")
         else:
             print(f"{case.id}: {case.title}")
             print(f"source: {case.source_text}")
@@ -266,12 +251,11 @@ def cmd_scaffold(run: RunDirectory, args) -> int:
 
 def resolve_provider(run: RunDirectory, model_id: str) -> ProviderConfig:
     """providers.json in the run root overrides the built-in presets."""
-    overrides_path = run.root / "providers.json"
-    if overrides_path.exists():
-        overrides = json.loads(overrides_path.read_text(encoding="utf-8"))
+    path = run.root / "providers.json"
+    if path.exists():
+        overrides = from_doc(dict[str, dict], read_json(path), path)
         if model_id in overrides:
-            entry = {k: v for k, v in overrides[model_id].items() if k != "provider_id"}
-            return ProviderConfig(provider_id=model_id, **entry)
+            return from_doc(ProviderConfig, {**overrides[model_id], "provider_id": model_id}, path)
     if model_id in KNOWN_PROVIDERS:
         return KNOWN_PROVIDERS[model_id]
     raise ValidationError(
@@ -394,7 +378,8 @@ def cmd_report(run: RunDirectory, args) -> int:
 
 
 def cmd_demo(target: Path, seed: int) -> int:
-    """Whole pipeline on the bundled corpus with mock judges."""
+    """Whole pipeline on the bundled corpus with mock judges: the fixture
+    cases and personas, then the verbs from blind to report build."""
     run = RunDirectory.init(target, seed=seed)
     with run.lock():
         corpus = fixtures.demo_corpus()
@@ -404,31 +389,16 @@ def cmd_demo(target: Path, seed: int) -> int:
             persona.save_role(role, run.path("personas"))
         persona.save_template(persona.default_template(), run.path("templates"))
         print(f"demo: wrote {len(corpus)} cases, {len(fixtures.DEMO_ROLES)} personas")
-
-        for case in corpus:
-            blinding.save_plan(blinding.make_blind_plan(case, seed), run.path("blinding"))
-        print("demo: blinded all cases")
-
-        models = list(_MOCK_MODELS)
-        ctx = build_judge_context(run, models, mock=True, seed=seed)
-        roles = sorted(ctx.roles)
-        jobs = judge.plan_grid(ctx.corpus, roles, models, ctx.plans)
-        records = judge.run_grid(jobs, ctx, concurrency_limit=4)
-        failed = [j for j in jobs if j.status == judge.STATUS_FAILED]
-        print(f"demo: {len(records)} of {len(jobs)} grid cells judged, {len(failed)} failed")
-        if failed:
-            raise ValidationError(f"demo evaluation failed for {len(failed)} job(s)")
-
-        table, corpus, plans = _build_table(run)
-        save_table_csv(table, run.path("report") / "scores.csv")
-        cross_model = stats.cross_model_agreement(table) if len(table.model_ids()) == 2 else None
-        cross_role = {m: stats.cross_role_agreement(table, m) for m in table.model_ids()}
-        battery = stats.version_difference_battery(table)
-        (run.path("report") / "results.txt").write_text(
-            report.results_text(cross_model, cross_role, battery), encoding="utf-8")
-        report.build_report(run.path("report"), table, corpus, plans)
-        print(f"demo: report written to {run.path('report')}")
+        parser = build_parser()
+        for verb in (["blind"], ["evaluate", "--models", "gpt,gemini", "--mock", "--concurrency", "4"],
+                     ["stats", "export"], ["stats", "run"], ["report", "build"]):
+            args = parser.parse_args(verb)
+            VERBS[args.command](run, args)
     return 0
+
+
+VERBS = {"case": cmd_case, "blind": cmd_blind, "scaffold": cmd_scaffold, "evaluate": cmd_evaluate,
+         "parse": cmd_parse, "stats": cmd_stats, "report": cmd_report}
 
 
 if __name__ == "__main__":

@@ -9,11 +9,11 @@ blinding module's job.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DuplicateIdError, ValidationError
+from .errors import DuplicateIdError
+from .store import from_doc, read_json, to_doc, write_json
 
 ORIGIN_HUMAN = "human"
 ORIGIN_BASELINE = "llm_baseline"
@@ -25,8 +25,8 @@ ORIGINS = (ORIGIN_HUMAN, ORIGIN_BASELINE, ORIGIN_ADJUSTED)
 class TranslationCandidate:
     id: str
     origin: str
-    translator_label: str
     text: str
+    translator_label: str = ""
     substituted_for: str | None = None
 
 
@@ -131,55 +131,15 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 # --- disk format -----------------------------------------------------------
 #
 # One JSON document per case at cases/<id>.json, fields exactly those of
-# SourceCase.  Unknown fields are rejected so that typos never silently
-# drop data.
-
-_CASE_FIELDS = {"id", "title", "source_text", "context_note", "translation_focus", "candidates"}
-_CANDIDATE_FIELDS = {"id", "origin", "translator_label", "text", "substituted_for"}
-
-
-def case_to_json(case: SourceCase) -> str:
-    return json.dumps(asdict(case), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-
-
-def case_from_json(text: str) -> SourceCase:
-    raw = json.loads(text)
-    unknown = set(raw) - _CASE_FIELDS
-    if unknown:
-        raise ValidationError(f"unknown case fields: {', '.join(sorted(unknown))}")
-    missing = _CASE_FIELDS - set(raw)
-    if missing:
-        raise ValidationError(f"missing case fields: {', '.join(sorted(missing))}")
-    candidates = []
-    for entry in raw["candidates"]:
-        unknown = set(entry) - _CANDIDATE_FIELDS
-        if unknown:
-            raise ValidationError(f"unknown candidate fields: {', '.join(sorted(unknown))}")
-        candidates.append(TranslationCandidate(
-            id=entry["id"],
-            origin=entry["origin"],
-            translator_label=entry.get("translator_label", ""),
-            text=entry["text"],
-            substituted_for=entry.get("substituted_for"),
-        ))
-    return SourceCase(
-        id=raw["id"],
-        title=raw["title"],
-        source_text=raw["source_text"],
-        context_note=raw["context_note"],
-        translation_focus=raw["translation_focus"],
-        candidates=candidates,
-    )
+# SourceCase; a candidate may omit translator_label and substituted_for.
 
 
 def save_case(case: SourceCase, cases_dir: Path) -> Path:
-    path = Path(cases_dir) / f"{case.id}.json"
-    path.write_text(case_to_json(case), encoding="utf-8")
-    return path
+    return write_json(Path(cases_dir) / f"{case.id}.json", to_doc(case))
 
 
 def load_corpus(cases_dir: Path) -> Corpus:
     corpus = Corpus()
     for path in sorted(Path(cases_dir).glob("*.json")):
-        corpus.add(case_from_json(path.read_text(encoding="utf-8")))
+        corpus.add(from_doc(SourceCase, read_json(path), path))
     return corpus

@@ -1,14 +1,13 @@
 """Plans and executes the blinded evaluation grid.
 
 One job per (case, role, model) cell, optionally repeated.  Jobs run
-concurrently up to a limit, persist their records incrementally through
-a single writer, and never unblind anything: records are keyed by public
-label only.
+concurrently up to a limit, each persists its own record file as it
+finishes, and none unblinds anything: records are keyed by public label
+only.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,6 +19,7 @@ from .errors import HarnessError, ValidationError
 from .parse import parse_evaluation
 from .persona import QuestionnaireTemplate, ReaderRole, render_evaluation_prompt
 from .provider import ProviderConfig, TranscriptStore, complete
+from .store import from_doc, read_json, to_doc, write_json
 
 STATUS_PENDING = "pending"
 STATUS_RUNNING = "running"
@@ -27,14 +27,9 @@ STATUS_DONE = "done"
 STATUS_FAILED = "failed"
 
 
-@dataclass
-class EvaluationJob:
-    case_id: str
-    role_id: str
-    model_id: str
-    repeat_index: int = 0
-    status: str = STATUS_PENDING
-    failure: str = ""
+class GridCell:
+    """Key of one (case, role, model, repeat) grid cell, shared by the job
+    that fills the cell and the record it leaves."""
 
     def key(self) -> str:
         base = f"{self.case_id}_{self.role_id}_{self.model_id}"
@@ -44,8 +39,18 @@ class EvaluationJob:
         return (self.case_id, self.role_id, self.model_id, self.repeat_index)
 
 
+@dataclass
+class EvaluationJob(GridCell):
+    case_id: str
+    role_id: str
+    model_id: str
+    repeat_index: int = 0
+    status: str = STATUS_PENDING
+    failure: str = ""
+
+
 @dataclass(frozen=True)
-class EvaluationRecord:
+class EvaluationRecord(GridCell):
     case_id: str
     role_id: str
     model_id: str
@@ -57,13 +62,6 @@ class EvaluationRecord:
     complete: bool
     warnings: tuple[str, ...]
     call_id: str
-
-    def key(self) -> str:
-        base = f"{self.case_id}_{self.role_id}_{self.model_id}"
-        return base if self.repeat_index == 0 else f"{base}_r{self.repeat_index}"
-
-    def sort_key(self):
-        return (self.case_id, self.role_id, self.model_id, self.repeat_index)
 
 
 def plan_grid(
@@ -105,12 +103,11 @@ class JudgeContext:
 
 
 class RecordStore:
-    """Single-writer persistence for evaluation records."""
+    """One JSON file per evaluation record; each job writes only its own."""
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     def path_for(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -119,52 +116,19 @@ class RecordStore:
         return self.path_for(key).exists()
 
     def save(self, record: EvaluationRecord) -> Path:
-        doc = {
-            "case_id": record.case_id,
-            "role_id": record.role_id,
-            "model_id": record.model_id,
-            "repeat_index": record.repeat_index,
-            "raw_response": record.raw_response,
-            "scores": {str(label): dict(sorted(d.items())) for label, d in sorted(record.scores.items())},
-            "interview": dict(sorted(record.interview.items())),
-            "parse_mode": record.parse_mode,
-            "complete": record.complete,
-            "warnings": list(record.warnings),
-            "call_id": record.call_id,
-        }
-        path = self.path_for(record.key())
-        with self._lock:
-            path.write_text(json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-        return path
+        return write_json(self.path_for(record.key()), to_doc(record))
 
     def load(self, key: str) -> EvaluationRecord:
-        raw = json.loads(self.path_for(key).read_text(encoding="utf-8"))
-        return record_from_doc(raw)
+        return _read_record(self.path_for(key))
 
     def load_all(self) -> list[EvaluationRecord]:
-        records = []
-        for path in sorted(self.directory.glob("*.json")):
-            records.append(record_from_doc(json.loads(path.read_text(encoding="utf-8"))))
+        records = [_read_record(path) for path in sorted(self.directory.glob("*.json"))]
         records.sort(key=EvaluationRecord.sort_key)
         return records
 
 
-def record_from_doc(raw: dict) -> EvaluationRecord:
-    return EvaluationRecord(
-        case_id=raw["case_id"],
-        role_id=raw["role_id"],
-        model_id=raw["model_id"],
-        repeat_index=raw["repeat_index"],
-        raw_response=raw["raw_response"],
-        scores={int(label): {d: int(v) for d, v in per.items()}
-                for label, per in raw["scores"].items()},
-        interview=dict(raw["interview"]),
-        parse_mode=raw["parse_mode"],
-        complete=raw["complete"],
-        warnings=tuple(raw["warnings"]),
-        call_id=raw["call_id"],
-    )
+def _read_record(path: Path) -> EvaluationRecord:
+    return from_doc(EvaluationRecord, read_json(path), path)
 
 
 def execute_job(job: EvaluationJob, ctx: JudgeContext) -> EvaluationRecord:

@@ -21,6 +21,7 @@ from pathlib import Path
 from .errors import ProviderConfigError, TransportError
 from .persona import DIMENSIONS
 from .rng import Splitmix64, mix_seed
+from .store import from_doc, read_json, to_doc, write_json
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 
@@ -77,40 +78,31 @@ class TranscriptStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        self._reserved: set[str] = set()
+
+    def path_for(self, call_id: str) -> Path:
+        return self.directory / f"{call_id}.json"
 
     def assign_call_id(self, provider_id: str, request_digest: str) -> str:
+        """First free name for this call; reserved in memory so concurrent
+        callers cannot race to it (the CLI lock keeps a run directory to
+        one process)."""
         base = f"{provider_id}-{request_digest[:16]}"
         with self._lock:
             call_id = base
             n = 1
-            while (self.directory / f"{call_id}.json").exists():
+            while call_id in self._reserved or self.path_for(call_id).exists():
                 n += 1
                 call_id = f"{base}-{n}"
-            # reserve the name so concurrent callers cannot race to it
-            (self.directory / f"{call_id}.json").write_text("{}", encoding="utf-8")
+            self._reserved.add(call_id)
             return call_id
 
     def save(self, transcript: Transcript) -> Path:
-        doc = {
-            "call_id": transcript.call_id,
-            "provider_id": transcript.provider_id,
-            "request_digest": transcript.request_digest,
-            "request_text": transcript.request_text,
-            "response_text": transcript.response_text,
-            "latency_s": transcript.latency_s,
-            "attempts": transcript.attempts,
-            "timestamp": transcript.timestamp,
-            "temperature": transcript.temperature,
-        }
-        path = self.directory / f"{transcript.call_id}.json"
-        with self._lock:
-            path.write_text(json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-        return path
+        return write_json(self.path_for(transcript.call_id), to_doc(transcript))
 
     def load(self, call_id: str) -> Transcript:
-        raw = json.loads((self.directory / f"{call_id}.json").read_text(encoding="utf-8"))
-        return Transcript(**raw)
+        path = self.path_for(call_id)
+        return from_doc(Transcript, read_json(path), path)
 
     def verify(self, call_id: str) -> bool:
         """Request integrity on replay: digest must match stored body."""

@@ -16,6 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import RunDirectoryError
+from .store import from_doc, read_json, to_doc, write_json
 
 SCHEMA_VERSION = 1
 SUBDIRS = ("cases", "personas", "templates", "blinding", "sessions",
@@ -25,6 +26,13 @@ LOCK_NAME = ".lock"
 
 #: JSON keys whose values vary between otherwise identical runs.
 VOLATILE_KEYS = frozenset({"created_at", "timestamp", "latency_s"})
+
+
+@dataclass(frozen=True)
+class Manifest:
+    schema_version: int
+    global_seed: int
+    created_at: str
 
 
 @dataclass
@@ -41,13 +49,8 @@ class RunDirectory:
         root.mkdir(parents=True, exist_ok=True)
         for sub in SUBDIRS:
             (root / sub).mkdir(exist_ok=True)
-        manifest = {
-            "schema_version": SCHEMA_VERSION,
-            "global_seed": seed,
-            "created_at": datetime.now(timezone.utc).isoformat(),
-        }
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                                 encoding="utf-8")
+        manifest = Manifest(SCHEMA_VERSION, seed, datetime.now(timezone.utc).isoformat())
+        write_json(manifest_path, to_doc(manifest))
         return cls(root=root, global_seed=seed)
 
     @classmethod
@@ -56,12 +59,12 @@ class RunDirectory:
         manifest_path = root / MANIFEST_NAME
         if not manifest_path.exists():
             raise RunDirectoryError(f"{root} is not an initialized run directory (no {MANIFEST_NAME})")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        version = manifest.get("schema_version")
-        if version != SCHEMA_VERSION:
+        manifest = from_doc(Manifest, read_json(manifest_path), manifest_path)
+        if manifest.schema_version != SCHEMA_VERSION:
             raise RunDirectoryError(
-                f"run directory schema version {version} does not match this build's {SCHEMA_VERSION}")
-        return cls(root=root, global_seed=int(manifest["global_seed"]))
+                f"run directory schema version {manifest.schema_version} "
+                f"does not match this build's {SCHEMA_VERSION}")
+        return cls(root=root, global_seed=manifest.global_seed)
 
     def path(self, sub: str) -> Path:
         if sub not in SUBDIRS:
@@ -70,14 +73,17 @@ class RunDirectory:
 
     @contextlib.contextmanager
     def lock(self):
-        """One CLI invocation per run directory at a time."""
+        """One CLI invocation per run directory at a time.  A lock whose
+        recorded PID is no longer running is stale and is taken over."""
         lock_path = self.root / LOCK_NAME
+        if _holder_gone(lock_path):
+            lock_path.unlink(missing_ok=True)  # stale: its process has exited
         try:
             fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise RunDirectoryError(
                 f"run directory is locked by another invocation ({lock_path}); "
-                "remove the file if that process is gone")
+                "remove the file if that process is gone") from None
         try:
             os.write(fd, str(os.getpid()).encode())
             os.close(fd)
@@ -85,6 +91,17 @@ class RunDirectory:
         finally:
             with contextlib.suppress(FileNotFoundError):
                 lock_path.unlink()
+
+
+def _holder_gone(lock_path: Path) -> bool:
+    """True when the lock file records the PID of a process that is not running."""
+    try:
+        os.kill(int(lock_path.read_text(encoding="ascii")), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError):  # no lock, another user's process, or its PID not yet written
+        pass
+    return False
 
 
 # --- comparison mode --------------------------------------------------------------

@@ -8,7 +8,6 @@ session can be replayed byte-for-byte from its stored inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 from .corpus import ORIGIN_ADJUSTED, Corpus, SourceCase, TranslationCandidate, save_case
 from .errors import StageError, ValidationError
 from .provider import ProviderConfig, TranscriptStore, complete
+from .store import from_doc, read_json, to_doc, write_json
 
 STAGE_BASELINE = "Baseline"
 STAGE_DIAGNOSE = "Diagnose"
@@ -146,55 +146,25 @@ class SessionStore:
     def save(self, session: ScaffoldSession) -> Path:
         root = self.directory / session.session_id
         root.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "session_id": session.session_id,
-            "case_id": session.case_id,
-            "translation_model": session.translation_model,
-            "stage": session.stage,
-            "diagnosis": None if session.diagnosis is None else {
-                "adequate_rationale": session.diagnosis.adequate_rationale,
-                "failure_modes": sorted(session.diagnosis.failure_modes),
-                "notes": session.diagnosis.notes,
-            },
-            "final_text": session.final_text,
-            "pending_stages": session.pending_stages,
-            "turn_count": len(session.turns),
-        }
-        (root / "session.json").write_text(
-            json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        for idx, turn in enumerate(session.turns, start=1):
+        doc = to_doc(session)
+        turns = doc.pop("turns")
+        write_json(root / "session.json", {**doc, "turn_count": len(turns)})
+        for idx, turn in enumerate(turns, start=1):
             path = root / f"turn-{idx:03d}.json"
-            if path.exists():
-                continue  # turns are append-only
-            (root / f"turn-{idx:03d}.json").write_text(
-                json.dumps(vars(turn), ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
+            if not path.exists():  # turns are append-only
+                write_json(path, turn)
         return root
 
     def load(self, session_id: str) -> ScaffoldSession:
         root = self.directory / session_id
-        raw = json.loads((root / "session.json").read_text(encoding="utf-8"))
-        turns = []
-        for idx in range(1, raw["turn_count"] + 1):
-            tdoc = json.loads((root / f"turn-{idx:03d}.json").read_text(encoding="utf-8"))
-            turns.append(Turn(**tdoc))
-        diagnosis = None
-        if raw["diagnosis"] is not None:
-            diagnosis = Diagnosis(
-                adequate_rationale=raw["diagnosis"]["adequate_rationale"],
-                failure_modes=frozenset(raw["diagnosis"]["failure_modes"]),
-                notes=raw["diagnosis"]["notes"],
-            )
-        return ScaffoldSession(
-            session_id=raw["session_id"],
-            case_id=raw["case_id"],
-            translation_model=raw["translation_model"],
-            stage=raw["stage"],
-            turns=turns,
-            diagnosis=diagnosis,
-            final_text=raw["final_text"],
-            pending_stages=list(raw["pending_stages"]),
-        )
+        path = root / "session.json"
+        doc = from_doc(dict, read_json(path), path)
+        turn_count = from_doc(int, doc.pop("turn_count", None), f"{path}: turn_count")
+        session = from_doc(ScaffoldSession, doc, path)
+        for idx in range(1, turn_count + 1):
+            turn_path = root / f"turn-{idx:03d}.json"
+            session.turns.append(from_doc(Turn, read_json(turn_path), turn_path))
+        return session
 
     def list_ids(self) -> list[str]:
         return sorted(p.name for p in self.directory.iterdir() if p.is_dir())

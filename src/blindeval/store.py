@@ -1,0 +1,143 @@
+"""The on-disk format of every JSON file in a run directory.
+
+One writer (canonical JSON: UTF-8, two-space indent, sorted keys, a
+trailing newline), one reader that turns any unreadable file into a
+RunDirectoryError naming it, and one codec between dataclasses and JSON
+documents.  ``from_doc`` decodes by the dataclass's type hints and rejects
+unknown and missing fields, so a typo never silently drops data.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import types
+import typing
+from pathlib import Path
+
+from .errors import RunDirectoryError, ValidationError
+
+
+def dumps(doc) -> str:
+    return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: Path, doc) -> Path:
+    path = Path(path)
+    path.write_text(dumps(doc), encoding="utf-8")
+    return path
+
+
+def read_json(path: Path):
+    """Parsed document at ``path``; a missing, undecodable or malformed
+    file (UnicodeDecodeError and JSONDecodeError are ValueErrors) raises
+    RunDirectoryError."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            return json.load(file)
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise RunDirectoryError(f"cannot read {path}: {reason}") from None
+
+
+def to_doc(obj):
+    """JSON-ready form: dataclasses become dicts, keys strings, tuples
+    lists and frozensets sorted lists."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_doc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): to_doc(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_doc(v) for v in obj]
+    if isinstance(obj, frozenset):
+        return sorted(to_doc(v) for v in obj)
+    return obj
+
+
+def from_doc(cls, raw, source: Path | str | None = None):
+    """Decode ``raw`` as ``cls`` (a dataclass or a container type hint);
+    a mismatch raises ValidationError, prefixed with ``source`` if given."""
+    try:
+        return _decoder(cls)(raw)
+    except ValidationError as exc:
+        if source is None:
+            raise
+        raise ValidationError(f"{source}: {exc}") from None
+
+
+# --- decoders, built once per type ---------------------------------------------
+
+
+def _leaf(*kinds):
+    """Decoder keeping a value whose exact type is one of ``kinds`` (exact:
+    a JSON true is not an int)."""
+    names = " or ".join(k.__name__ for k in kinds)
+
+    def decode(raw):
+        if type(raw) not in kinds:
+            raise ValidationError(f"expected {names}, got {type(raw).__name__}")
+        return raw
+    return decode
+
+
+_dict, _list = _leaf(dict), _leaf(list)
+
+
+def _int_key(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError(f"expected an integer key, got {raw!r}") from None
+
+
+def _any(raw):
+    return raw
+
+
+@functools.cache
+def _decoder(tp):
+    if dataclasses.is_dataclass(tp):
+        return _dataclass_decoder(tp)
+    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    if origin in (types.UnionType, typing.Union):  # only `X | None` occurs
+        (inner,) = [_decoder(a) for a in args if a is not type(None)]
+        return lambda raw: None if raw is None else inner(raw)
+    if origin is dict:
+        value = _decoder(args[1]) if args else _any
+        if args and args[0] is int:
+            return lambda raw: {_int_key(k): value(v) for k, v in _dict(raw).items()}
+        return lambda raw: {k: value(v) for k, v in _dict(raw).items()}
+    if origin in (list, tuple, frozenset):
+        item = _decoder(args[0]) if args else _any
+        return lambda raw: origin(map(item, _list(raw)))
+    if tp is float:  # an integral JSON number stays as it was written
+        return _leaf(float, int)
+    if tp in (str, int, bool):
+        return _leaf(tp)
+    return _any
+
+
+def _dataclass_decoder(cls):
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    decoders = {f.name: _decoder(hints[f.name]) for f in fields}
+    required = {f.name for f in fields
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+    name = cls.__name__
+
+    def decode(raw):
+        unknown = _dict(raw).keys() - decoders.keys()
+        if unknown:
+            raise ValidationError(f"unknown {name} fields: {', '.join(sorted(unknown))}")
+        missing = required - raw.keys()
+        if missing:
+            raise ValidationError(f"missing {name} fields: {', '.join(sorted(missing))}")
+        kwargs = {}
+        for key, value in raw.items():
+            try:
+                kwargs[key] = decoders[key](value)
+            except ValidationError as exc:
+                raise ValidationError(f"{name}.{key}: {exc}") from None
+        return cls(**kwargs)
+    return decode

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
+import sys
 
 import pytest
 
 from blindeval.cli import main
-from blindeval.corpus import case_to_json
 from blindeval.fixtures import demo_corpus
 from blindeval.rundir import RunDirectory, trees_identical
+from blindeval.store import to_doc, write_json
 
 
 @pytest.fixture
@@ -21,7 +24,7 @@ def _add_demo_cases(run_dir, tmp_path):
     files = []
     for case in demo_corpus():
         path = tmp_path / f"{case.id}.src.json"
-        path.write_text(case_to_json(case), encoding="utf-8")
+        path = write_json(path, to_doc(case))
         files.append(str(path))
     assert main(["-C", str(run_dir), "case", "add", *files]) == 0
 
@@ -232,3 +235,69 @@ def test_lock_blocks_second_invocation(run_dir, capsys):
 def test_no_lock_left_behind_after_commands(run_dir):
     assert main(["-C", str(run_dir), "case", "list"]) == 0
     assert not (run_dir / ".lock").exists()
+
+
+def test_stale_lock_of_exited_process_is_taken_over(run_dir):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    (run_dir / ".lock").write_text(str(child.pid))
+    assert main(["-C", str(run_dir), "case", "list"]) == 0
+    assert not (run_dir / ".lock").exists()
+
+
+# --- unreadable files end in one error line naming the file --------------------
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    """A demo run plus one scaffold session: every kind of run-directory file."""
+    target = tmp_path_factory.mktemp("full") / "run"
+    assert main(["demo", str(target), "--seed", "7"]) == 0
+    assert main(["-C", str(target), "scaffold", "start", "--case", "case1",
+                 "--model", "deepseek", "--mock"]) == 0
+    return target
+
+
+def _single_error_line(capsys, *names):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    for name in names:
+        assert name in lines[0], err
+
+
+@pytest.mark.parametrize("relpath, argv", [
+    ("manifest.json", ["case", "list"]),
+    ("cases/case1.json", ["stats", "run"]),
+    ("blinding/case1.json", ["report", "build"]),
+    ("records/case1_R1_gpt.json", ["stats", "run"]),
+    ("records/case1_R1_gpt.json", ["evaluate", "--models", "gpt", "--mock", "--resume"]),
+    ("sessions/case1-deepseek-01/session.json", ["scaffold", "diagnose", "--adequate",
+                                                 "--session", "case1-deepseek-01"]),
+])
+def test_truncated_file_is_a_single_line_error(full_run, tmp_path, capsys, relpath, argv):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    path = target / relpath
+    path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    capsys.readouterr()
+    assert main(["-C", str(target), *argv]) == 1
+    _single_error_line(capsys, relpath)
+
+
+def test_unknown_provider_key_is_a_single_line_error(full_run, tmp_path, capsys):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    (target / "providers.json").write_text(json.dumps(
+        {"acme": {"endpoint": "http://localhost:1", "model": "m", "temprature": 0.5}}))
+    capsys.readouterr()
+    assert main(["-C", str(target), "evaluate", "--models", "acme", "--roles", "R1"]) == 1
+    _single_error_line(capsys, "providers.json", "temprature")
+
+
+def test_case_add_of_non_json_file_is_a_single_line_error(run_dir, tmp_path, capsys):
+    path = tmp_path / "notes.txt"
+    path.write_text("id: case9\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["-C", str(run_dir), "case", "add", str(path)]) == 1
+    _single_error_line(capsys, "notes.txt")

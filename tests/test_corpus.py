@@ -1,12 +1,11 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from blindeval.corpus import (Corpus, SourceCase, TranslationCandidate, case_from_json,
-                              case_to_json, load_corpus, save_case, validate_corpus)
+from blindeval.corpus import (Corpus, SourceCase, TranslationCandidate, load_corpus, save_case,
+                              validate_corpus)
 from blindeval.errors import DuplicateIdError, ValidationError
+from blindeval.store import from_doc, to_doc, write_json
 
 
 def make_case(case_id="c1", n_candidates=2, **overrides):
@@ -124,24 +123,24 @@ def test_roundtrip_preserves_all_fields(corpus, tmp_path):
 
 
 def test_loader_rejects_unknown_fields():
-    doc = json.loads(case_to_json(make_case()))
+    doc = to_doc(make_case())
     doc["surprise"] = 1
     with pytest.raises(ValidationError, match="surprise"):
-        case_from_json(json.dumps(doc))
+        from_doc(SourceCase, doc)
 
 
 def test_loader_rejects_unknown_candidate_fields():
-    doc = json.loads(case_to_json(make_case()))
+    doc = to_doc(make_case())
     doc["candidates"][0]["rating"] = 5
     with pytest.raises(ValidationError, match="rating"):
-        case_from_json(json.dumps(doc))
+        from_doc(SourceCase, doc)
 
 
 def test_loader_rejects_missing_fields():
-    doc = json.loads(case_to_json(make_case()))
+    doc = to_doc(make_case())
     del doc["context_note"]
     with pytest.raises(ValidationError, match="context_note"):
-        case_from_json(json.dumps(doc))
+        from_doc(SourceCase, doc)
 
 
 def test_slot_key_uses_substitution(corpus):
@@ -149,3 +148,13 @@ def test_slot_key_uses_substitution(corpus):
     sub = case4.get_candidate("li-zhaoguo-sub")
     assert case4.slot_key(sub) == "unschuld"
     assert case4.slot_key(case4.get_candidate("li-zhaoguo")) == "li-zhaoguo"
+
+
+def test_case_file_may_omit_translator_label_and_substituted_for(tmp_path):
+    doc = to_doc(make_case())
+    for entry in doc["candidates"]:
+        del entry["translator_label"], entry["substituted_for"]
+    write_json(tmp_path / "c1.json", doc)
+    case = load_corpus(tmp_path).get("c1")
+    assert [c.translator_label for c in case.candidates] == ["", ""]
+    assert [c.substituted_for for c in case.candidates] == [None, None]

@@ -172,3 +172,26 @@ def test_dispatch_gate_bounds_concurrent_calls():
         for f in futures:
             f.result()
     assert peak[0] <= 2
+
+
+def test_failed_save_leaves_no_transcript_file(tmp_path, monkeypatch):
+    store = TranscriptStore(tmp_path)
+
+    def failing_save(self, transcript):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(TranscriptStore, "save", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        complete(mock_config("p"), [{"role": "user", "content": "x"}],
+                 transport=lambda *a: (200, _ok_body()), store=store)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reservations_of_one_digest_get_distinct_call_ids(tmp_path):
+    store = TranscriptStore(tmp_path)
+    digest = "ab" * 32
+    first = store.assign_call_id("p", digest)
+    second = store.assign_call_id("p", digest)
+    assert first == "p-" + digest[:16]
+    assert second == first + "-2"
+    assert list(tmp_path.iterdir()) == []

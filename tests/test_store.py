@@ -1,0 +1,96 @@
+from __future__ import annotations
+
+import typing
+
+import pytest
+
+from blindeval import store
+from blindeval.errors import RunDirectoryError, ValidationError
+from blindeval.judge import EvaluationRecord
+from blindeval.scaffold import Diagnosis, ScaffoldSession, Turn
+from blindeval.store import from_doc, read_json, to_doc, write_json
+
+
+def make_record(**overrides):
+    fields = dict(case_id="case1", role_id="R1", model_id="gpt", repeat_index=0,
+                  raw_response="reply", scores={2: {"Clarity": 4}, 1: {"Clarity": 3}},
+                  interview={"b": "2", "a": "1"}, parse_mode="fenced", complete=True,
+                  warnings=("w",), call_id="gpt-0123")
+    fields.update(overrides)
+    return EvaluationRecord(**fields)
+
+
+def test_write_json_is_canonical(tmp_path):
+    path = write_json(tmp_path / "doc.json", {"b": "虚邪", "a": [1, 2]})
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "a": [\n    1,\n    2\n  ],\n  "b": "虚邪"\n}\n')
+
+
+def test_to_doc_converts_keys_tuples_and_frozensets():
+    doc = to_doc(Diagnosis(adequate_rationale=False,
+                           failure_modes=frozenset({"linguistic_gap", "knowledge_gap"})))
+    assert doc == {"adequate_rationale": False, "notes": "",
+                   "failure_modes": ["knowledge_gap", "linguistic_gap"]}
+    record = to_doc(make_record())
+    assert record["scores"] == {"2": {"Clarity": 4}, "1": {"Clarity": 3}}
+    assert record["warnings"] == ["w"]
+
+
+def test_round_trip_through_disk(tmp_path):
+    record = make_record()
+    write_json(tmp_path / "r.json", to_doc(record))
+    assert from_doc(EvaluationRecord, read_json(tmp_path / "r.json")) == record
+
+    session = ScaffoldSession(
+        session_id="s", case_id="case1", translation_model="gpt/m",
+        turns=[Turn("Baseline", "p", "r", "t", "c")],
+        diagnosis=Diagnosis(adequate_rationale=False, failure_modes={"knowledge_gap"}))
+    assert from_doc(ScaffoldSession, to_doc(session)) == session
+
+
+def test_unreadable_files_raise_run_directory_error_naming_them(tmp_path):
+    (tmp_path / "cut.json").write_text('{"case_id": "ca', encoding="utf-8")
+    (tmp_path / "bytes.json").write_bytes(b'{"a": "\xff"}')
+    for name in ("cut.json", "bytes.json", "missing.json"):
+        with pytest.raises(RunDirectoryError, match=name):
+            read_json(tmp_path / name)
+
+
+def test_from_doc_rejects_wrong_types_naming_the_field():
+    doc = to_doc(make_record())
+    doc["scores"] = [1, 2]
+    with pytest.raises(ValidationError, match=r"^r\.json: EvaluationRecord\.scores: expected dict"):
+        from_doc(EvaluationRecord, doc, "r.json")
+    doc = to_doc(make_record())
+    doc["repeat_index"] = True
+    with pytest.raises(ValidationError, match="repeat_index"):
+        from_doc(EvaluationRecord, doc)
+    doc = to_doc(make_record())
+    doc["scores"] = {"one": {}}
+    with pytest.raises(ValidationError, match="integer key"):
+        from_doc(EvaluationRecord, doc)
+
+
+def test_from_doc_rejects_unknown_and_missing_fields():
+    doc = to_doc(make_record())
+    doc["extra"] = 1
+    del doc["call_id"]
+    with pytest.raises(ValidationError, match="unknown EvaluationRecord fields: extra"):
+        from_doc(EvaluationRecord, doc)
+    del doc["extra"]
+    with pytest.raises(ValidationError, match="missing EvaluationRecord fields: call_id"):
+        from_doc(EvaluationRecord, doc)
+
+
+def test_decoder_is_built_once_per_type(monkeypatch):
+    calls = []
+    real = typing.get_type_hints
+    monkeypatch.setattr(typing, "get_type_hints", lambda cls: calls.append(cls) or real(cls))
+    store._decoder.cache_clear()
+    try:
+        doc = to_doc(make_record())
+        for _ in range(3):
+            from_doc(EvaluationRecord, doc)
+        assert calls == [EvaluationRecord]
+    finally:
+        store._decoder.cache_clear()
