@@ -41,14 +41,23 @@ _DIM_PATTERNS = {
     "Transferability": r"transferability(?:\s+of\s+theory(?:\s+to\s+clinical\s+practice)?)?",
 }
 
+# per dimension, compiled once: the whole name, a dimension-led prose line
+# ("Clarity: T1=5, ...") and a score after the name ("Clarity 4/5")
+_DIM_NAME_RES = [(dim, re.compile(p)) for dim, p in _DIM_PATTERNS.items()]
+_DIM_LEAD_RES = [(dim, re.compile(rf"^\s*{p}\s*[:\-]\s*(.+)$", re.IGNORECASE))
+                 for dim, p in _DIM_PATTERNS.items()]
+_DIM_SCORE_RES = [(dim, re.compile(rf"\b{p}\s*[:=]?\s*([1-5])(?:\s*/\s*5)?\b", re.IGNORECASE))
+                  for dim, p in _DIM_PATTERNS.items()]
+
 _FENCE_RE = re.compile(r"```scores[ \t]*\n(.*?)```", re.DOTALL)
 _ENTRY_RE = re.compile(r"^\s*([A-Za-z][A-Za-z ]*?)\s*\[\s*(\d+)\s*\]\s*=\s*(-?\d+)\s*$")
+_SPACES_RE = re.compile(r"\s+")
 
 
 def _canonical_dimension(raw: str) -> str | None:
-    squeezed = re.sub(r"\s+", " ", raw.strip().lower())
-    for dim, pattern in _DIM_PATTERNS.items():
-        if re.fullmatch(pattern, squeezed):
+    squeezed = _SPACES_RE.sub(" ", raw.strip().lower())
+    for dim, name_re in _DIM_NAME_RES:
+        if name_re.fullmatch(squeezed):
             return dim
     return None
 
@@ -112,8 +121,8 @@ def parse_prose(response_text: str, k: int) -> ParsedEvaluation:
     text = _FENCE_RE.sub("", response_text)
     for line in text.splitlines():
         consumed = False
-        for dim, pattern in _DIM_PATTERNS.items():
-            lead = re.match(rf"^\s*{pattern}\s*[:\-]\s*(.+)$", line, re.IGNORECASE)
+        for dim, lead_re in _DIM_LEAD_RES:
+            lead = lead_re.match(line)
             if lead:
                 for label_str, value_str in _T_PAIR_RE.findall(lead.group(1)):
                     _offer(candidates, warnings, int(label_str), dim, int(value_str), k)
@@ -125,9 +134,8 @@ def parse_prose(response_text: str, k: int) -> ParsedEvaluation:
         if lead:
             label = int(lead.group(1))
             rest = line[lead.end():]
-            for dim, pattern in _DIM_PATTERNS.items():
-                for m in re.finditer(rf"\b{pattern}\s*[:=]?\s*([1-5])(?:\s*/\s*5)?\b",
-                                     rest, re.IGNORECASE):
+            for dim, score_re in _DIM_SCORE_RES:
+                for m in score_re.finditer(rest):
                     _offer(candidates, warnings, label, dim, int(m.group(1)), k)
 
     scores: dict[int, dict[str, int]] = {}

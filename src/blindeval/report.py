@@ -111,9 +111,8 @@ class CaseTableRow:
 def case_table(table: ScoreTable, case_id: str) -> list[CaseTableRow]:
     """Grand mean over (role x model x dimension) per candidate of a case."""
     groups: dict[str, list[int]] = {}
-    for row in table:
-        if row.case_id == case_id:
-            groups.setdefault(row.candidate_id, []).append(row.score)
+    for row in table.case_rows(case_id):
+        groups.setdefault(row.candidate_id, []).append(row.score)
     if not groups:
         raise ValidationError(f"no scores for case {case_id!r}")
     return [CaseTableRow(candidate_id=cid,
@@ -123,35 +122,48 @@ def case_table(table: ScoreTable, case_id: str) -> list[CaseTableRow]:
             for cid, v in sorted(groups.items())]
 
 
+@dataclass(frozen=True)
+class Aggregates:
+    """Every figure a report shows, computed once and shared by its files."""
+    radar: list[DimensionSummary]
+    roles: list[RoleSummary]
+    cases: dict[str, list[CaseTableRow]]   # case id -> case_table rows, in case order
+
+
+def aggregate(table: ScoreTable) -> Aggregates:
+    return Aggregates(radar=radar_data(table), roles=role_range_data(table),
+                      cases={case_id: case_table(table, case_id) for case_id in table.case_ids()})
+
+
 # --- file emission ---------------------------------------------------------------
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def radar_csv(table: ScoreTable) -> str:
+def radar_csv(radar: list[DimensionSummary]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["dimension", "candidate", "mean", "min", "max", "n"])
-    for s in radar_data(table):
+    for s in radar:
         w.writerow([s.dimension, s.candidate, _fmt(s.mean), s.min, s.max, s.n])
     return buf.getvalue()
 
 
-def roles_csv(table: ScoreTable) -> str:
+def roles_csv(roles: list[RoleSummary]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["role", "candidate", "mean", "range", "n"])
-    for s in role_range_data(table):
+    for s in roles:
         w.writerow([s.role, s.candidate, _fmt(s.mean), s.range, s.n])
     return buf.getvalue()
 
 
-def case_csv(table: ScoreTable, case_id: str) -> str:
+def case_csv(rows: list[CaseTableRow]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["candidate", "slot", "mean", "mean_2dp", "n"])
-    for row in case_table(table, case_id):
+    for row in rows:
         w.writerow([row.candidate_id, row.slot, _fmt(row.mean), row.mean_display, row.n])
     return buf.getvalue()
 
@@ -214,7 +226,7 @@ def results_text(
     return "\n".join(lines) + "\n"
 
 
-def report_markdown(table: ScoreTable, corpus: Corpus, plans: dict) -> str:
+def report_markdown(table: ScoreTable, corpus: Corpus, plans: dict, aggregates: Aggregates) -> str:
     lines = ["# Evaluation report", ""]
     lines.append(f"Scores: {len(table)} rows over cases {', '.join(table.case_ids())}; "
                  f"roles {', '.join(table.role_ids())}; models {', '.join(table.model_ids())}.")
@@ -225,7 +237,7 @@ def report_markdown(table: ScoreTable, corpus: Corpus, plans: dict) -> str:
     slots = sorted({table.slot(r.case_id, r.candidate_id) for r in table})
     lines.append("| dimension | " + " | ".join(slots) + " |")
     lines.append("|---" * (len(slots) + 1) + "|")
-    radar = {(s.dimension, s.candidate): s for s in radar_data(table)}
+    radar = {(s.dimension, s.candidate): s for s in aggregates.radar}
     for dimension in DIMENSIONS:
         cells = []
         for slot in slots:
@@ -238,18 +250,18 @@ def report_markdown(table: ScoreTable, corpus: Corpus, plans: dict) -> str:
     lines.append("")
     lines.append("| role | candidate | mean | range | n |")
     lines.append("|---|---|---|---|---|")
-    for s in role_range_data(table):
+    for s in aggregates.roles:
         lines.append(f"| {s.role} | {s.candidate} | {s.mean:.2f} | {s.range} | {s.n} |")
     lines.append("")
 
     lines.append("## Per-case averages")
     lines.append("")
-    for case_id in table.case_ids():
+    for case_id, rows in aggregates.cases.items():
         lines.append(f"### {case_id}")
         lines.append("")
         lines.append("| candidate | mean | n |")
         lines.append("|---|---|---|")
-        for row in case_table(table, case_id):
+        for row in rows:
             lines.append(f"| {row.candidate_id} | {row.mean_display} | {row.n} |")
         lines.append("")
 
@@ -311,9 +323,10 @@ def build_report(
         path.write_text(content, encoding="utf-8")
         written.append(path)
 
-    emit("radar.csv", radar_csv(table))
-    emit("roles.csv", roles_csv(table))
-    for case_id in table.case_ids():
-        emit(f"cases/{case_id}.csv", case_csv(table, case_id))
-    emit("report.md", report_markdown(table, corpus, plans))
+    aggregates = aggregate(table)
+    emit("radar.csv", radar_csv(aggregates.radar))
+    emit("roles.csv", roles_csv(aggregates.roles))
+    for case_id, rows in aggregates.cases.items():
+        emit(f"cases/{case_id}.csv", case_csv(rows))
+    emit("report.md", report_markdown(table, corpus, plans, aggregates))
     return written

@@ -9,7 +9,10 @@ labels again.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import types
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,16 +39,21 @@ class ScoreRow:
 
 
 class ScoreTable:
-    def __init__(self, rows: list[ScoreRow], slot_map: dict[tuple[str, str], str] | None = None):
+    """Immutable rows plus the per-case index and repeat collapse, each
+    built at most once, on first use."""
+
+    def __init__(self, rows: Iterable[ScoreRow], slot_map: dict[tuple[str, str], str] | None = None):
+        self.rows = tuple(rows)
         seen = set()
-        for row in rows:
-            if not (LIKERT_MIN <= row.score <= LIKERT_MAX) or not isinstance(row.score, int):
-                raise ValidationError(f"score {row.score!r} outside {LIKERT_MIN}..{LIKERT_MAX} in {row}")
+        for row in self.rows:
+            score = row.score
+            if type(score) is not int or not LIKERT_MIN <= score <= LIKERT_MAX:
+                raise ValidationError(
+                    f"score {score!r} is not an integer in {LIKERT_MIN}..{LIKERT_MAX} in {row}")
             k = row.key()
             if k in seen:
                 raise ValidationError(f"duplicate score key {k}")
             seen.add(k)
-        self.rows = list(rows)
         self._slot_map = dict(slot_map or {})
 
     def __len__(self):
@@ -64,24 +72,42 @@ class ScoreTable:
         return sorted({r.role_id for r in self.rows})
 
     def case_ids(self) -> list[str]:
-        return sorted({r.case_id for r in self.rows})
+        return sorted(self._by_case)
 
-    def collapsed(self) -> dict[tuple, float]:
-        """Mean over repeat indices: (case, role, model, candidate, dim) -> score."""
+    def case_rows(self, case_id: str) -> tuple[ScoreRow, ...]:
+        """The rows of one case, in table order; empty for an unknown case."""
+        return self._by_case.get(case_id, ())
+
+    @functools.cached_property
+    def _by_case(self) -> dict[str, tuple[ScoreRow, ...]]:
+        groups: dict[str, list[ScoreRow]] = {}
+        for r in self.rows:
+            groups.setdefault(r.case_id, []).append(r)
+        return {case_id: tuple(rows) for case_id, rows in groups.items()}
+
+    def collapsed(self) -> Mapping[tuple, float]:
+        """Mean over repeat indices: (case, role, model, candidate, dim) -> score.
+
+        Read-only: every call returns a view of the same mapping."""
+        return self._collapsed
+
+    @functools.cached_property
+    def _collapsed(self) -> Mapping[tuple, float]:
         sums: dict[tuple, list[float]] = {}
         for r in self.rows:
             sums.setdefault((r.case_id, r.role_id, r.model_id, r.candidate_id, r.dimension), []).append(r.score)
-        return {k: sum(v) / len(v) for k, v in sums.items()}
+        return types.MappingProxyType({k: sum(v) / len(v) for k, v in sums.items()})
 
     def transformed(self, fn) -> "ScoreTable":
         """Same table with fn applied to every score; for invariance checks.
 
         Deliberately bypasses the Likert range gate: a monotone transform
         leaves every rank statistic untouched but exits the 1..5 range.
+        The new table builds its own index and collapse.
         """
         clone = ScoreTable.__new__(ScoreTable)
-        clone.rows = [ScoreRow(r.case_id, r.role_id, r.model_id, r.candidate_id,
-                               r.dimension, fn(r.score), r.repeat) for r in self.rows]
+        clone.rows = tuple(ScoreRow(r.case_id, r.role_id, r.model_id, r.candidate_id,
+                                    r.dimension, fn(r.score), r.repeat) for r in self.rows)
         clone._slot_map = dict(self._slot_map)
         return clone
 

@@ -95,6 +95,27 @@ def _any(raw):
     return raw
 
 
+def _at(where: str, exc: ValidationError) -> ValidationError:
+    """``exc`` prefixed with where it happened, so a nested path reads
+    ``Record.scores[1][Clarity]: expected int, got str``."""
+    message = str(exc)
+    return ValidationError(f"{where}{'' if message.startswith('[') else ': '}{message}")
+
+
+def _locate(entries, item, key=None) -> None:
+    """Walk again the (key or index, value) ``entries`` of a container whose
+    decoding failed, in decoding order, and raise the first error: a ``key``
+    error as it is, an ``item`` error with its key or index.  Runs only on
+    the failure path, so decoding a valid document pays nothing for it."""
+    for where, value in entries:
+        if key is not None:
+            key(where)
+        try:
+            item(value)
+        except ValidationError as exc:
+            raise _at(f"[{where}]", exc) from None
+
+
 @functools.cache
 def _decoder(tp):
     if dataclasses.is_dataclass(tp):
@@ -105,12 +126,29 @@ def _decoder(tp):
         return lambda raw: None if raw is None else inner(raw)
     if origin is dict:
         value = _decoder(args[1]) if args else _any
-        if args and args[0] is int:
-            return lambda raw: {_int_key(k): value(v) for k, v in _dict(raw).items()}
-        return lambda raw: {k: value(v) for k, v in _dict(raw).items()}
+        key = _int_key if args and args[0] is int else None
+
+        def decode(raw):
+            try:
+                if key is None:
+                    return {k: value(v) for k, v in _dict(raw).items()}
+                return {key(k): value(v) for k, v in _dict(raw).items()}
+            except ValidationError:
+                if type(raw) is dict:
+                    _locate(raw.items(), value, key)
+                raise
+        return decode
     if origin in (list, tuple, frozenset):
         item = _decoder(args[0]) if args else _any
-        return lambda raw: origin(map(item, _list(raw)))
+
+        def decode(raw):
+            try:
+                return origin(map(item, _list(raw)))
+            except ValidationError:
+                if type(raw) is list:
+                    _locate(enumerate(raw), item)
+                raise
+        return decode
     if tp is float:  # an integral JSON number stays as it was written
         return _leaf(float, int)
     if tp in (str, int, bool):
@@ -138,6 +176,6 @@ def _dataclass_decoder(cls):
             try:
                 kwargs[key] = decoders[key](value)
             except ValidationError as exc:
-                raise ValidationError(f"{name}.{key}: {exc}") from None
+                raise _at(f"{name}.{key}", exc) from None
         return cls(**kwargs)
     return decode

@@ -1,8 +1,9 @@
-"""Independent oracles used to verify the statistics engine.
+"""Independent oracles used to verify the statistics engine and the report.
 
 Deliberately built on different machinery than the engine: numpy/scipy
-ranking, brute-force enumeration, and permutation resampling.  Nothing
-here imports from blindeval.stats.
+ranking, brute-force enumeration, permutation resampling, and full scans
+of the score table for every report aggregate.  Nothing here imports from
+blindeval.stats or blindeval.report.
 """
 
 from __future__ import annotations
@@ -113,3 +114,29 @@ def kendall_w_oracle(rows):
         _, counts = np.unique(row, return_counts=True)
         ties += (counts ** 3 - counts).sum()
     return (12 * s2 - 3 * m * m * n * (n + 1) ** 2) / (m * m * n * (n * n - 1) - m * ties)
+
+
+def case_table_full_scan(table, case_id):
+    """(candidate, slot, mean, n) per candidate of one case, in candidate
+    order, scanning every row of the table for each candidate."""
+    candidates = sorted({r.candidate_id for r in table if r.case_id == case_id})
+    out = []
+    for cand in candidates:
+        scores = [r.score for r in table if r.case_id == case_id and r.candidate_id == cand]
+        out.append((cand, table.slot(case_id, cand), sum(scores) / len(scores), len(scores)))
+    return out
+
+
+def radar_full_scan(table, dimensions):
+    """(dimension, slot, mean, min, max, n) per dimension (in the given
+    order) and treatment slot (sorted), scanning every row for each pair."""
+    slots = sorted({table.slot(r.case_id, r.candidate_id) for r in table})
+    out = []
+    for dimension in dimensions:
+        for slot in slots:
+            scores = [r.score for r in table
+                      if r.dimension == dimension and table.slot(r.case_id, r.candidate_id) == slot]
+            if scores:
+                out.append((dimension, slot, sum(scores) / len(scores),
+                            min(scores), max(scores), len(scores)))
+    return out

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from blindeval.cli import main
 from blindeval.fixtures import demo_corpus
-from blindeval.rundir import RunDirectory, trees_identical
+from blindeval.rundir import RunDirectory, snapshot, trees_identical
 from blindeval.store import to_doc, write_json
 
 
@@ -206,6 +207,18 @@ def test_demo_runs_are_byte_identical_modulo_timestamps(tmp_path):
     assert main(["demo", str(b), "--seed", "7"]) == 0
     same, diffs = trees_identical(a, b)
     assert same, diffs
+
+
+#: sha256 of the normalised `demo --seed 7` tree; a change that means to
+#: change the demo's outputs updates it and says so.
+DEMO_SEED_7_DIGEST = "2741bc8981808cdf199197973d0ba3e74453fbdd3f01b13a3cca60e53db18351"
+
+
+def test_demo_tree_digest_is_pinned(tmp_path):
+    target = tmp_path / "demo"
+    assert main(["demo", str(target), "--seed", "7"]) == 0
+    tree = json.dumps(snapshot(target), sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(tree).hexdigest() == DEMO_SEED_7_DIGEST
 
 
 def test_demo_seed_7_exercises_both_parse_routes(tmp_path):

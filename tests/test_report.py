@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import csv
 import io
+import random
 
 import pytest
 
-from blindeval.report import (build_report, case_csv, case_table, radar_csv, radar_data,
-                              report_markdown, role_range_data, roles_csv)
+from blindeval import report
+from blindeval.corpus import Corpus
+from blindeval.persona import DIMENSIONS
+from blindeval.report import (aggregate, build_report, case_csv, case_table, radar_csv,
+                              radar_data, report_markdown, role_range_data, roles_csv)
 from blindeval.scoretable import ScoreRow, ScoreTable, table_from_csv, table_to_csv
+from oracles import case_table_full_scan, radar_full_scan
 
 DIMS = ("Clarity", "CognitiveLoad", "Confidence", "Preference", "Transferability")
 
@@ -63,7 +68,7 @@ def test_case_table_renders_reference_style_values():
     by_id = {r.candidate_id: r for r in case_table(table, "c1")}
     assert by_id["base"].mean_display == "4.87"
     assert by_id["adj"].mean_display == "3.50"
-    text = case_csv(table, "c1")
+    text = case_csv(case_table(table, "c1"))
     assert "base,base,4.87,4.87,100" in text
     assert "adj,adj,3.5,3.50,100" in text
 
@@ -104,7 +109,7 @@ def test_every_mean_recomputable_from_exported_csv(mock_table):
 
 
 def test_csv_emission_is_parseable(mock_table):
-    for text in (radar_csv(mock_table), roles_csv(mock_table)):
+    for text in (radar_csv(radar_data(mock_table)), roles_csv(role_range_data(mock_table))):
         rows = list(csv.reader(io.StringIO(text)))
         assert len(rows) > 1
         assert all(len(r) == len(rows[0]) for r in rows)
@@ -121,7 +126,7 @@ def test_report_generation_deterministic(mock_table, corpus, plans, tmp_path):
 
 
 def test_report_markdown_contents(mock_table, corpus, plans):
-    text = report_markdown(mock_table, corpus, plans)
+    text = report_markdown(mock_table, corpus, plans, aggregate(mock_table))
     assert "## Code keys (unblinded)" in text
     assert "llm-final" in text
     assert "li-zhaoguo-sub fills the absent unschuld slot" in text
@@ -136,3 +141,54 @@ def test_report_files_written(mock_table, corpus, plans, tmp_path):
     names = {p.relative_to(tmp_path / "report").as_posix() for p in written}
     assert {"radar.csv", "roles.csv", "report.md"} <= names
     assert {"cases/case1.csv", "cases/case2.csv", "cases/case3.csv", "cases/case4.csv"} <= names
+
+
+def multi_case_table():
+    """Three cases over 2 roles x 2 models, rows shuffled: c2 lacks
+    candidate c and its b2 fills slot b; c3 has two repeats per cell."""
+    rng = random.Random(3)
+    rows = [ScoreRow(case_id, role, model, cand, dim, rng.randint(1, 5), repeat)
+            for case_id, cands, repeats in (("c1", "abc", 1), ("c2", ("a", "b2"), 1),
+                                             ("c3", "abc", 2))
+            for role in ("r1", "r2") for model in ("m1", "m2") for cand in cands
+            for dim in DIMS for repeat in range(repeats)]
+    rng.shuffle(rows)
+    return ScoreTable(rows, {("c2", "b2"): "b"})
+
+
+def _csv_rows(path):
+    return list(csv.reader(path.open(encoding="utf-8")))[1:]
+
+
+def test_report_aggregates_match_full_scan_oracles(tmp_path):
+    table = multi_case_table()
+    expected_cases = {case_id: case_table_full_scan(table, case_id) for case_id in ("c1", "c2", "c3")}
+    assert [row[0] for row in expected_cases["c2"]] == ["a", "b2"]
+    assert {row[3] for row in expected_cases["c3"]} == {2 * 2 * 5 * 2}
+    expected_radar = radar_full_scan(table, DIMENSIONS)
+
+    for case_id, expected in expected_cases.items():
+        assert [(r.candidate_id, r.slot, r.mean, r.n) for r in case_table(table, case_id)] == expected
+    assert [(s.dimension, s.candidate, s.mean, s.min, s.max, s.n)
+            for s in radar_data(table)] == expected_radar
+
+    build_report(tmp_path, table, Corpus(), {})
+    # the files print means to 12 significant digits
+    assert _csv_rows(tmp_path / "radar.csv") == [
+        [d, slot, f"{mean:.12g}", str(lo), str(hi), str(n)] for d, slot, mean, lo, hi, n in expected_radar]
+    markdown = (tmp_path / "report.md").read_text(encoding="utf-8")
+    for case_id, expected in expected_cases.items():
+        assert _csv_rows(tmp_path / "cases" / f"{case_id}.csv") == [
+            [cand, slot, f"{mean:.12g}", f"{mean:.2f}", str(n)] for cand, slot, mean, n in expected]
+        rows = "".join(f"| {cand} | {mean:.2f} | {n} |\n" for cand, _, mean, n in expected)
+        assert f"### {case_id}\n\n| candidate | mean | n |\n|---|---|---|\n{rows}" in markdown
+
+
+def test_build_report_computes_each_aggregate_once(monkeypatch, tmp_path):
+    calls = []
+    for name in ("radar_data", "role_range_data", "case_table"):
+        real = getattr(report, name)
+        monkeypatch.setattr(report, name,
+                            lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    build_report(tmp_path, multi_case_table(), Corpus(), {})
+    assert sorted(calls) == ["case_table"] * 3 + ["radar_data", "role_range_data"]

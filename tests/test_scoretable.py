@@ -19,6 +19,21 @@ def test_score_out_of_range_rejected():
         ScoreTable([ScoreRow("c", "r", "m", "cand", "Clarity", 6)])
 
 
+@pytest.mark.parametrize("score", ["3", None, True, 3.0])
+def test_non_integer_score_rejected_naming_the_row(score):
+    row = ScoreRow("c", "r", "m", "cand", "Clarity", score)
+    with pytest.raises(ValidationError, match=r"not an integer in 1\.\.5 in ScoreRow\(case_id='c'"):
+        ScoreTable([row])
+
+
+def test_rows_are_fixed_at_construction():
+    rows = [ScoreRow("c", "r", "m", "cand", "Clarity", 3)]
+    table = ScoreTable(rows)
+    rows.append(ScoreRow("c", "r", "m", "cand", "Clarity", 9, repeat=1))
+    assert len(table) == 1
+    assert isinstance(table.rows, tuple)
+
+
 def test_repeat_index_disambiguates():
     rows = [ScoreRow("c", "r", "m", "cand", "Clarity", 3, repeat=i) for i in range(3)]
     table = ScoreTable(rows)
@@ -30,6 +45,42 @@ def test_collapse_averages_repeats():
     rows = [ScoreRow("c", "r", "m", "cand", "Clarity", s, repeat=i)
             for i, s in enumerate([2, 5])]
     assert ScoreTable(rows).collapsed()[("c", "r", "m", "cand", "Clarity")] == 3.5
+
+
+def test_collapsed_cannot_be_changed_by_a_caller():
+    rows = [ScoreRow("c", "r", "m", "cand", "Clarity", s, repeat=i) for i, s in enumerate([2, 5])]
+    table = ScoreTable(rows)
+    key = ("c", "r", "m", "cand", "Clarity")
+    collapsed = table.collapsed()
+    with pytest.raises(TypeError):
+        collapsed[key] = 1.0
+    with pytest.raises(TypeError):
+        del collapsed[key]
+    assert table.collapsed() == {key: 3.5}
+
+
+def test_transformed_table_has_its_own_index_and_collapse():
+    rows = [ScoreRow(case, "r", "m", "cand", "Clarity", s, repeat=i)
+            for case in ("c1", "c2") for i, s in enumerate([2, 5])]
+    table = ScoreTable(rows)
+    assert table.collapsed()[("c1", "r", "m", "cand", "Clarity")] == 3.5
+    assert [r.score for r in table.case_rows("c1")] == [2, 5]
+
+    doubled = table.transformed(lambda s: 10 * s)
+    assert doubled.collapsed()[("c1", "r", "m", "cand", "Clarity")] == 35.0
+    assert [r.score for r in doubled.case_rows("c1")] == [20, 50]
+    assert doubled.case_ids() == ["c1", "c2"]
+    assert table.collapsed()[("c1", "r", "m", "cand", "Clarity")] == 3.5
+    assert [r.score for r in table.case_rows("c1")] == [2, 5]
+
+
+def test_case_rows_keep_table_order_and_are_empty_for_unknown_cases():
+    rows = [ScoreRow(case, "r", "m", cand, "Clarity", 3)
+            for cand in ("b", "a") for case in ("c2", "c1")]
+    table = ScoreTable(rows)
+    assert table.case_rows("c1") == (rows[1], rows[3])
+    assert table.case_rows("nope") == ()
+    assert table.case_ids() == ["c1", "c2"]
 
 
 def test_csv_round_trip(mock_table):

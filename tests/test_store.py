@@ -71,6 +71,38 @@ def test_from_doc_rejects_wrong_types_naming_the_field():
         from_doc(EvaluationRecord, doc)
 
 
+def test_from_doc_names_the_key_or_index_at_fault():
+    with pytest.raises(ValidationError,
+                       match=r"^providers\.json: \[acme\]: expected dict, got int$"):
+        from_doc(dict[str, dict], {"ok": {}, "acme": 3}, "providers.json")
+    doc = to_doc(make_record())
+    doc["scores"]["1"]["Clarity"] = "3"
+    with pytest.raises(ValidationError, match=(r"^r\.json: EvaluationRecord\.scores\[1\]\[Clarity\]: "
+                                               r"expected int, got str$")):
+        from_doc(EvaluationRecord, doc, "r.json")
+    doc = to_doc(make_record())
+    doc["warnings"] = ["w", None]
+    with pytest.raises(ValidationError,
+                       match=r"^EvaluationRecord\.warnings\[1\]: expected str, got NoneType$"):
+        from_doc(EvaluationRecord, doc)
+    session = to_doc(ScaffoldSession(session_id="s", case_id="case1", translation_model="gpt/m",
+                                     turns=[Turn("Baseline", "p", "r", "t", "c")]))
+    session["turns"][0]["prompt_text"] = 1
+    with pytest.raises(ValidationError,
+                       match=r"^ScaffoldSession\.turns\[0\]: Turn\.prompt_text: expected str, got int$"):
+        from_doc(ScaffoldSession, session)
+
+
+def test_from_doc_reports_the_first_fault_in_decoding_order():
+    doc = to_doc(make_record())
+    doc["scores"] = {"one": 3, "2": {}}
+    with pytest.raises(ValidationError, match=r"^EvaluationRecord\.scores: expected an integer key"):
+        from_doc(EvaluationRecord, doc)
+    doc["scores"] = {"1": 3, "two": {}}
+    with pytest.raises(ValidationError, match=r"^EvaluationRecord\.scores\[1\]: expected dict, got int$"):
+        from_doc(EvaluationRecord, doc)
+
+
 def test_from_doc_rejects_unknown_and_missing_fields():
     doc = to_doc(make_record())
     doc["extra"] = 1
