@@ -8,6 +8,7 @@ only.
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -122,12 +123,15 @@ class RecordStore:
         return _read_record(self.path_for(key))
 
     def load_all(self) -> list[EvaluationRecord]:
-        records = [_read_record(path) for path in sorted(self.directory.glob("*.json"))]
+        # names sort as strings, far cheaper than Path objects
+        directory = self.directory
+        names = sorted(name for name in os.listdir(directory) if name.endswith(".json"))
+        records = [_read_record(os.path.join(directory, name)) for name in names]
         records.sort(key=EvaluationRecord.sort_key)
         return records
 
 
-def _read_record(path: Path) -> EvaluationRecord:
+def _read_record(path: str | Path) -> EvaluationRecord:
     return from_doc(EvaluationRecord, read_json(path), path)
 
 

@@ -38,6 +38,11 @@ class ProviderConfig:
     backoff_base: float = 1.0
     max_concurrent: int = 4            # in-flight calls per provider_id, process-wide
 
+    def __post_init__(self):
+        # providers.json may write the temperature as 0 or 0.0; both are one
+        # setting, sent and transcripted as a float
+        object.__setattr__(self, "temperature", float(self.temperature))
+
     def credential_variable(self) -> str:
         if self.credential_env is None:
             return re.sub(r"[^A-Z0-9]", "_", self.provider_id.upper()) + "_API_KEY"

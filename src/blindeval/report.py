@@ -54,9 +54,9 @@ def radar_data(table: ScoreTable) -> list[DimensionSummary]:
     if not len(table):
         raise ValidationError("empty score table")
     groups: dict[tuple[str, str], list[int]] = {}
+    slot_of = table.slot_of
     for row in table:
-        slot = table.slot(row.case_id, row.candidate_id)
-        groups.setdefault((row.dimension, slot), []).append(row.score)
+        groups.setdefault((row.dimension, slot_of[row.case_id, row.candidate_id]), []).append(row.score)
     slots = sorted({slot for _, slot in groups})
     out = []
     for dimension in DIMENSIONS:
@@ -80,9 +80,9 @@ def role_range_data(table: ScoreTable) -> list[RoleSummary]:
     if not len(table):
         raise ValidationError("empty score table")
     groups: dict[tuple[str, str], list[int]] = {}
+    slot_of = table.slot_of
     for row in table:
-        slot = table.slot(row.case_id, row.candidate_id)
-        groups.setdefault((row.role_id, slot), []).append(row.score)
+        groups.setdefault((row.role_id, slot_of[row.case_id, row.candidate_id]), []).append(row.score)
     out = []
     for (role, slot) in sorted(groups):
         values = groups[(role, slot)]
@@ -234,7 +234,7 @@ def report_markdown(table: ScoreTable, corpus: Corpus, plans: dict, aggregates: 
 
     lines.append("## Mean score per dimension and candidate")
     lines.append("")
-    slots = sorted({table.slot(r.case_id, r.candidate_id) for r in table})
+    slots = sorted(set(table.slot_of.values()))
     lines.append("| dimension | " + " | ".join(slots) + " |")
     lines.append("|---" * (len(slots) + 1) + "|")
     radar = {(s.dimension, s.candidate): s for s in aggregates.radar}

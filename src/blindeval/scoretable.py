@@ -11,20 +11,23 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import operator
 import types
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .blinding import BlindPlan, unblind
 from .corpus import Corpus
 from .errors import ValidationError
 
 LIKERT_MIN, LIKERT_MAX = 1, 5
+#: (type, value) of every valid score, so that True, 3.0 and "3" fail
+_VALID_SCORES = frozenset((int, s) for s in range(LIKERT_MIN, LIKERT_MAX + 1))
 
 
-@dataclass(frozen=True)
-class ScoreRow:
+class ScoreRow(NamedTuple):
+    """One score; its fields are in CSV_COLUMNS order."""
     case_id: str
     role_id: str
     model_id: str
@@ -34,8 +37,13 @@ class ScoreRow:
     repeat: int = 0
 
     def key(self):
-        return (self.case_id, self.role_id, self.model_id,
-                self.candidate_id, self.dimension, self.repeat)
+        return _row_key(self)
+
+
+#: A row's identity and sort order: every field but the score.
+_row_key = operator.itemgetter(0, 1, 2, 3, 4, 6)
+_score = operator.itemgetter(5)
+_case_and_candidate = operator.itemgetter(0, 3)
 
 
 class ScoreTable:
@@ -43,17 +51,10 @@ class ScoreTable:
     built at most once, on first use."""
 
     def __init__(self, rows: Iterable[ScoreRow], slot_map: dict[tuple[str, str], str] | None = None):
-        self.rows = tuple(rows)
-        seen = set()
-        for row in self.rows:
-            score = row.score
-            if type(score) is not int or not LIKERT_MIN <= score <= LIKERT_MAX:
-                raise ValidationError(
-                    f"score {score!r} is not an integer in {LIKERT_MIN}..{LIKERT_MAX} in {row}")
-            k = row.key()
-            if k in seen:
-                raise ValidationError(f"duplicate score key {k}")
-            seen.add(k)
+        self.rows = rows = tuple(rows)
+        if (not _scores_valid(list(map(_score, rows)))
+                or len(set(map(_row_key, rows))) != len(rows)):
+            _raise_first_bad_row(rows)
         self._slot_map = dict(slot_map or {})
 
     def __len__(self):
@@ -64,6 +65,13 @@ class ScoreTable:
 
     def slot(self, case_id: str, candidate_id: str) -> str:
         return self._slot_map.get((case_id, candidate_id), candidate_id)
+
+    @functools.cached_property
+    def slot_of(self) -> Mapping[tuple[str, str], str]:
+        """(case, candidate) -> treatment slot for every pair in the table;
+        read-only, as it is shared by every caller."""
+        return types.MappingProxyType(
+            {pair: self.slot(*pair) for pair in set(map(_case_and_candidate, self.rows))})
 
     def model_ids(self) -> list[str]:
         return sorted({r.model_id for r in self.rows})
@@ -112,6 +120,29 @@ class ScoreTable:
         return clone
 
 
+def _scores_valid(scores: list) -> bool:
+    """Whether every score is a valid one (the only statement of the rule)."""
+    try:
+        return set(zip(map(type, scores), scores)) <= _VALID_SCORES
+    except TypeError:   # an unhashable score
+        return False
+
+
+def _raise_first_bad_row(rows: tuple[ScoreRow, ...]) -> None:
+    """Raise for the first row, in table order, with a bad score or a
+    repeated key."""
+    seen = set()
+    for row in rows:
+        score = row.score
+        if not _scores_valid([score]):
+            raise ValidationError(
+                f"score {score!r} is not an integer in {LIKERT_MIN}..{LIKERT_MAX} in {row}")
+        k = row.key()
+        if k in seen:
+            raise ValidationError(f"duplicate score key {k}")
+        seen.add(k)
+
+
 def slot_map_from_corpus(corpus: Corpus) -> dict[tuple[str, str], str]:
     return {(case.id, cand.id): case.slot_key(cand)
             for case in corpus for cand in case.candidates}
@@ -131,25 +162,21 @@ def table_from_records(
     in which case their present cells are used as-is.
     """
     rows: list[ScoreRow] = []
+    new_row = tuple.__new__     # ScoreRow(...) without its keyword handling
     for rec in records:
         if not rec.complete and not include_incomplete:
             continue
-        plan = plans.get(rec.case_id)
+        case_id, role_id, model_id = rec.case_id, rec.role_id, rec.model_id
+        repeat = getattr(rec, "repeat_index", 0)
+        plan = plans.get(case_id)
         if plan is None:
-            raise ValidationError(f"no blind plan for case {rec.case_id!r}")
+            raise ValidationError(f"no blind plan for case {case_id!r}")
         for label, per_dim in rec.scores.items():
             candidate_id = unblind(plan, int(label))
-            for dimension, score in per_dim.items():
-                rows.append(ScoreRow(
-                    case_id=rec.case_id,
-                    role_id=rec.role_id,
-                    model_id=rec.model_id,
-                    candidate_id=candidate_id,
-                    dimension=dimension,
-                    score=int(score),
-                    repeat=getattr(rec, "repeat_index", 0),
-                ))
-    rows.sort(key=lambda r: r.key())
+            rows.extend([new_row(ScoreRow, (case_id, role_id, model_id, candidate_id,
+                                            dimension, int(score), repeat))
+                         for dimension, score in per_dim.items()])
+    rows.sort(key=_row_key)
     slot_map = slot_map_from_corpus(corpus) if corpus is not None else None
     return ScoreTable(rows, slot_map)
 
@@ -163,9 +190,7 @@ def table_to_csv(table: ScoreTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in sorted(table.rows, key=lambda r: r.key()):
-        writer.writerow([r.case_id, r.role_id, r.model_id, r.candidate_id,
-                         r.dimension, r.score, r.repeat])
+    writer.writerows(sorted(table.rows, key=_row_key))
     return buf.getvalue()
 
 

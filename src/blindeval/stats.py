@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 from .errors import DegenerateInputError, StatsError
@@ -429,15 +430,15 @@ def battery_blocks(table: ScoreTable, blocking=DEFAULT_BLOCKING):
     if unknown:
         raise StatsError(f"unknown blocking fields: {', '.join(unknown)}; "
                          f"allowed: {', '.join(sorted(_BLOCK_FIELDS))}")
-    collapsed = table.collapsed()
-    slots = sorted({table.slot(case_id, cand_id)
-                    for (case_id, _, _, cand_id, _) in collapsed})
+    # (case, candidate, *blocking fields): a tuple for any number of fields,
+    # so k[:2] names the slot and k[2:] is the block key
+    pick = operator.itemgetter(0, 3, *(_BLOCK_FIELDS[b] for b in blocking))
+    slot_of = table.slot_of
+    slots = sorted(set(slot_of.values()))
     cells: dict[tuple, dict[str, list[float]]] = {}
-    for key, score in collapsed.items():
-        case_id, role_id, model_id, cand_id, dim = key
-        block_key = tuple(key[_BLOCK_FIELDS[b]] for b in blocking)
-        slot = table.slot(case_id, cand_id)
-        cells.setdefault(block_key, {}).setdefault(slot, []).append(score)
+    for key, score in table.collapsed().items():
+        k = pick(key)
+        cells.setdefault(k[2:], {}).setdefault(slot_of[k[:2]], []).append(score)
     complete_rows = []
     excluded = 0
     for block_key in sorted(cells):

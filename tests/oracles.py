@@ -140,3 +140,34 @@ def radar_full_scan(table, dimensions):
                 out.append((dimension, slot, sum(scores) / len(scores),
                             min(scores), max(scores), len(scores)))
     return out
+
+
+def battery_blocks_full_scan(table, blocking):
+    """(slots, rows, excluded) of the version-difference battery: for each
+    block (sorted) whose every treatment slot is scored, the mean per slot
+    of the repeat-collapsed cells, scanning every row of the table for each
+    block and slot."""
+    fields = {"case": "case_id", "role": "role_id", "model": "model_id", "dimension": "dimension"}
+
+    def block_of(r):
+        return tuple(getattr(r, fields[b]) for b in blocking)
+
+    slots = sorted({table.slot(r.case_id, r.candidate_id) for r in table})
+    rows, excluded = [], 0
+    for block in sorted({block_of(r) for r in table}):
+        row = []
+        for slot in slots:
+            cells = {}
+            for r in table:
+                if block_of(r) == block and table.slot(r.case_id, r.candidate_id) == slot:
+                    cell = (r.case_id, r.role_id, r.model_id, r.candidate_id, r.dimension)
+                    cells.setdefault(cell, []).append(r.score)
+            if not cells:
+                break
+            means = [sum(v) / len(v) for v in cells.values()]
+            row.append(sum(means) / len(means))
+        if len(row) == len(slots):
+            rows.append(row)
+        else:
+            excluded += 1
+    return slots, rows, excluded

@@ -7,8 +7,9 @@ import pytest
 
 from blindeval.errors import ProviderConfigError, TransportError
 from blindeval.persona import DIMENSIONS
-from blindeval.provider import (ProviderConfig, TranscriptStore, complete, make_mock_transport,
-                                mock_config, mock_judge_response)
+from blindeval.provider import (ProviderConfig, TranscriptStore, canonical_request, complete,
+                                make_mock_transport, mock_config, mock_judge_response)
+from blindeval.store import from_doc
 
 PROMPT_K4 = "\n".join(
     ["Please read these.", ""]
@@ -104,6 +105,24 @@ def test_temperature_recorded_in_transcript(tmp_path):
     assert transcript.temperature == config.temperature
     on_disk = store.load(transcript.call_id)
     assert on_disk.temperature == config.temperature
+
+
+def test_integral_temperature_sends_the_same_request(tmp_path):
+    # providers.json may write the temperature as 0 or 0.0; both are one setting
+    entry = {"provider_id": "acme", "endpoint": "https://acme.invalid/v1", "model": "m",
+             "credential_env": ""}
+    as_int = from_doc(ProviderConfig, {**entry, "temperature": 0})
+    as_float = from_doc(ProviderConfig, {**entry, "temperature": 0.0})
+    messages = [{"role": "user", "content": "x"}]
+    assert canonical_request(as_int, messages) == canonical_request(as_float, messages)
+    assert '"temperature": 0.0' in canonical_request(as_int, messages)
+    # the transcript on disk writes the setting as the request sent it
+    store = TranscriptStore(tmp_path)
+    _, transcript = complete(as_int, messages, transport=lambda *a: (200, _ok_body()),
+                             store=store)
+    on_disk = json.loads((tmp_path / f"{transcript.call_id}.json").read_text())
+    assert type(on_disk["temperature"]) is float
+    assert json.loads(on_disk["request_text"])["temperature"] == on_disk["temperature"]
 
 
 def test_malformed_body_is_a_transport_error():

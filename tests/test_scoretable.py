@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
 from blindeval.errors import ValidationError
@@ -14,9 +17,26 @@ def test_duplicate_key_rejected():
         ScoreTable([row, row])
 
 
+def test_duplicate_key_error_names_the_first_repeat_in_row_order():
+    a = ScoreRow("c", "r", "m", "cand", "Clarity", 3)
+    b = ScoreRow("c", "r", "m", "cand", "Preference", 4)
+    rows = [a, b, a._replace(score=2), b._replace(score=5)]
+    with pytest.raises(ValidationError, match=re.escape(f"duplicate score key {a.key()}")):
+        ScoreTable(rows)
+
+
 def test_score_out_of_range_rejected():
     with pytest.raises(ValidationError):
         ScoreTable([ScoreRow("c", "r", "m", "cand", "Clarity", 6)])
+
+
+@pytest.mark.parametrize("score", [0, 6])
+def test_scores_outside_the_likert_range_rejected_naming_the_row(score):
+    rows = [ScoreRow("c", "r", "m", "cand", "Clarity", 3, repeat=i) for i in range(50)]
+    rows.append(ScoreRow("c", "r", "m", "cand", "Clarity", score, repeat=50))
+    with pytest.raises(ValidationError,
+                       match=rf"score {score} is not an integer in 1\.\.5 in ScoreRow\(.*repeat=50\)"):
+        ScoreTable(rows)
 
 
 @pytest.mark.parametrize("score", ["3", None, True, 3.0])
@@ -59,6 +79,16 @@ def test_collapsed_cannot_be_changed_by_a_caller():
     assert table.collapsed() == {key: 3.5}
 
 
+def test_slot_of_cannot_be_changed_by_a_caller():
+    table = ScoreTable([ScoreRow("c", "r", "m", "cand", "Clarity", 3)], {("c", "cand"): "final"})
+    slot_of = table.slot_of
+    with pytest.raises(TypeError):
+        slot_of["c", "cand"] = "baseline"
+    with pytest.raises(TypeError):
+        del slot_of["c", "cand"]
+    assert table.slot_of == {("c", "cand"): "final"}
+
+
 def test_transformed_table_has_its_own_index_and_collapse():
     rows = [ScoreRow(case, "r", "m", "cand", "Clarity", s, repeat=i)
             for case in ("c1", "c2") for i, s in enumerate([2, 5])]
@@ -88,6 +118,19 @@ def test_csv_round_trip(mock_table):
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
     loaded = table_from_csv(text)
     assert sorted(r.key() for r in loaded) == sorted(r.key() for r in mock_table)
+    assert loaded.rows == mock_table.rows
+
+
+def test_row_fields_are_in_csv_column_order():
+    assert ScoreRow._fields == ("case_id", "role_id", "model_id", "candidate_id",
+                                "dimension", "score", "repeat")
+    assert [f.removesuffix("_id") for f in ScoreRow._fields] == CSV_COLUMNS
+
+
+def test_csv_is_in_key_order_whatever_the_row_order(mock_table):
+    rows = list(mock_table.rows)
+    random.Random(3).shuffle(rows)
+    assert table_to_csv(ScoreTable(rows)) == table_to_csv(mock_table)
 
 
 def test_from_records_unblinds_by_plan(corpus, roles, plans, tmp_path):

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindeval.errors import DegenerateInputError, StatsError
-from blindeval.scoretable import ScoreRow, ScoreTable
-from blindeval.stats import (average_ranks, bonferroni, cross_model_agreement,
+from blindeval.scoretable import ScoreRow, ScoreTable, slot_map_from_corpus
+from blindeval.stats import (average_ranks, battery_blocks, bonferroni, cross_model_agreement,
                              cross_role_agreement, friedman, kendall_w, model_paired_scores,
                              role_object_means, spearman_rho, spearman_rho_shortcut,
                              version_difference_battery, wilcoxon_signed_rank)
 from concordance_fixtures import RATINGS_W073, RATINGS_W078
-from oracles import (brute_force_ranks, friedman_permutation_p, kendall_w_oracle,
-                     rank_then_pearson, wilcoxon_exact_two_sided)
+from oracles import (battery_blocks_full_scan, brute_force_ranks, friedman_permutation_p,
+                     kendall_w_oracle, rank_then_pearson, wilcoxon_exact_two_sided)
 
 
 # --- average_ranks -----------------------------------------------------------------
@@ -457,6 +457,37 @@ def test_battery_blocking_scheme_configurable(mock_table):
     assert coarse.n_blocks == 24
     with pytest.raises(StatsError, match="unknown blocking"):
         version_difference_battery(mock_table, blocking=("case", "banana"))
+
+
+@pytest.fixture
+def battery_table(mock_table, corpus):
+    """The mock table with repeats on one role and one (case, candidate)
+    pair dropped, so that a case block goes incomplete."""
+    dropped = (mock_table.rows[0].case_id, mock_table.rows[0].candidate_id)
+    role = mock_table.rows[0].role_id
+    rows = [r for r in mock_table if (r.case_id, r.candidate_id) != dropped]
+    rows += [r._replace(score=r.score % 5 + 1, repeat=1) for r in rows if r.role_id == role]
+    return ScoreTable(rows, slot_map_from_corpus(corpus))
+
+
+@pytest.mark.parametrize("blocking", [("dimension",), ("case",), ("role", "dimension"), ()])
+def test_battery_blocks_match_full_scan_oracle(battery_table, blocking):
+    slots, rows, excluded = battery_blocks(battery_table, blocking)
+    oracle_slots, oracle_rows, oracle_excluded = battery_blocks_full_scan(battery_table, blocking)
+    assert slots == oracle_slots
+    assert excluded == oracle_excluded
+    assert rows == [pytest.approx(row, rel=1e-12) for row in oracle_rows]
+    if blocking == ("case",):
+        assert oracle_excluded == 1
+    if len(oracle_rows) < 2:    # one block: Friedman needs two
+        with pytest.raises(StatsError, match="at least 2 blocks"):
+            version_difference_battery(battery_table, blocking)
+        return
+    battery = version_difference_battery(battery_table, blocking)
+    assert battery.blocking == blocking
+    assert battery.n_blocks == len(oracle_rows)
+    assert battery.excluded_blocks == oracle_excluded
+    assert battery.friedman.statistic == pytest.approx(friedman(oracle_rows).statistic, rel=1e-12)
 
 
 def test_permutation_symmetry_of_friedman(mock_table):
