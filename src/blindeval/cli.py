@@ -297,7 +297,13 @@ def cmd_evaluate(run: RunDirectory, args) -> int:
         raise ValidationError(f"unknown roles: {', '.join(unknown)}; "
                               f"available: {', '.join(sorted(ctx.roles))}")
     jobs = judge.plan_grid(ctx.corpus, roles, models, ctx.plans, repeats=args.repeats)
-    records = judge.run_grid(jobs, ctx, concurrency_limit=args.concurrency, resume=args.resume)
+
+    def report_dispatch(workers: int, caps: dict[str, int]) -> None:
+        limits = ", ".join(f"{model}={cap}" for model, cap in caps.items())
+        print(f"dispatch: {workers} worker(s); cap {limits}", flush=True)
+
+    records = judge.run_grid(jobs, ctx, concurrency_limit=args.concurrency, resume=args.resume,
+                             on_dispatch=report_dispatch)
     failed = [j for j in jobs if j.status == judge.STATUS_FAILED]
     for job in jobs:
         line = f"{job.key()}: {job.status}"

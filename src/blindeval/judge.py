@@ -1,9 +1,9 @@
 """Plans and executes the blinded evaluation grid.
 
 One job per (case, role, model) cell, optionally repeated.  Jobs run
-concurrently up to a limit, each persists its own record file as it
-finishes, and none unblinds anything: records are keyed by public label
-only.
+concurrently up to a limit and up to each provider's cap, each persists
+its own record file as it finishes, and none unblinds anything: records
+are keyed by public label only.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ STATUS_FAILED = "failed"
 class GridCell:
     """Key of one (case, role, model, repeat) grid cell, shared by the job
     that fills the cell and the record it leaves."""
+
+    def cell(self) -> tuple[str, str, str]:
+        """The (case, role, model) cell, shared by every repeat of it."""
+        return (self.case_id, self.role_id, self.model_id)
 
     def key(self) -> str:
         base = f"{self.case_id}_{self.role_id}_{self.model_id}"
@@ -161,18 +165,79 @@ def execute_job(job: EvaluationJob, ctx: JudgeContext) -> EvaluationRecord:
     )
 
 
+class _Dispatch:
+    """Hands a grid's pending jobs to free workers.
+
+    A free worker gets the first pending job, in plan order, whose provider
+    has a free slot and no earlier repeat of whose cell is in flight; it
+    holds both until ``release``.  Repeats of a cell render the same prompt,
+    so running them one at a time keeps their transcript call ids (``-2``,
+    ``-3``, ...) in repeat order at any concurrency.
+    """
+
+    def __init__(self, jobs: list[EvaluationJob], caps: dict[str, int]):
+        self._pending = list(jobs)
+        self._free = dict(caps)
+        self._busy_cells: set[tuple[str, str, str]] = set()
+        self._changed = threading.Condition()
+
+    def take(self) -> EvaluationJob | None:
+        """The next job, once a slot for it is free; None when none is left."""
+        with self._changed:
+            while self._pending:
+                for i, job in enumerate(self._pending):
+                    if self._free[job.model_id] and job.cell() not in self._busy_cells:
+                        del self._pending[i]
+                        self._free[job.model_id] -= 1
+                        self._busy_cells.add(job.cell())
+                        return job
+                self._changed.wait()
+            return None
+
+    def release(self, job: EvaluationJob) -> None:
+        with self._changed:
+            self._free[job.model_id] += 1
+            self._busy_cells.discard(job.cell())
+            self._changed.notify_all()
+
+    def stop(self) -> None:
+        """Start no further job; the jobs not started stay pending."""
+        with self._changed:
+            self._pending.clear()
+            self._changed.notify_all()
+
+
+def _run_job(job: EvaluationJob, ctx: JudgeContext, store: RecordStore) -> EvaluationRecord | None:
+    job.status = STATUS_RUNNING
+    try:
+        record = execute_job(job, ctx)
+    except HarnessError as exc:
+        job.status = STATUS_FAILED
+        job.failure = f"{type(exc).__name__}: {exc}"
+        return None
+    store.save(record)
+    job.status = STATUS_DONE
+    return record
+
+
 def run_grid(
     jobs: list[EvaluationJob],
     ctx: JudgeContext,
     concurrency_limit: int = 1,
     resume: bool = False,
+    on_dispatch=None,
 ) -> list[EvaluationRecord]:
     """Execute every pending job; failures never abort siblings.
 
     Each job runs at most once.  With ``resume``, jobs whose record file
-    already exists are loaded instead of re-executed.  The returned
-    collection is sorted by (case, role, model, repeat) regardless of
-    completion order; job statuses mirror what happened.
+    already exists are loaded instead of re-executed.  The rest run on
+    min(``concurrency_limit``, sum of the caps, pending jobs) worker
+    threads; a provider's cap is its ``max_concurrent``, the most jobs of
+    this grid it has in flight.  ``on_dispatch(workers, caps)`` is called
+    before the first job starts.  An exception other than a
+    ``HarnessError`` stops dispatch and propagates once the jobs in flight
+    end.  The returned collection is sorted by (case, role, model, repeat)
+    regardless of completion order; job statuses mirror what happened.
     """
     if concurrency_limit < 1:
         raise ValidationError("concurrency limit must be >= 1")
@@ -187,23 +252,33 @@ def run_grid(
         else:
             to_run.append(job)
 
-    results_lock = threading.Lock()
+    caps = {m: max(1, ctx.providers[m].max_concurrent) for m in sorted({j.model_id for j in jobs})}
+    workers = min(concurrency_limit, sum(caps.values()), len(to_run))
+    if on_dispatch is not None:
+        on_dispatch(workers, caps)
+    dispatch = _Dispatch(to_run, caps)
 
-    def worker(job: EvaluationJob):
-        job.status = STATUS_RUNNING
-        try:
-            record = execute_job(job, ctx)
-        except HarnessError as exc:
-            job.status = STATUS_FAILED
-            job.failure = f"{type(exc).__name__}: {exc}"
-            return
-        store.save(record)
-        with results_lock:
-            records[job.key()] = record
-        job.status = STATUS_DONE
+    def worker() -> list[EvaluationRecord]:
+        done = []
+        while (job := dispatch.take()) is not None:
+            try:
+                record = _run_job(job, ctx, store)
+            except BaseException:
+                dispatch.stop()
+                raise
+            finally:
+                dispatch.release(job)
+            if record is not None:
+                done.append(record)
+        return done
 
-    if to_run:
-        with ThreadPoolExecutor(max_workers=concurrency_limit) as pool:
-            list(pool.map(worker, to_run))
+    if workers:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(worker) for _ in range(workers)]
+            try:
+                for future in futures:
+                    records.update((record.key(), record) for record in future.result())
+            finally:
+                dispatch.stop()  # an interrupt here leaves no job to start
 
     return sorted(records.values(), key=EvaluationRecord.sort_key)

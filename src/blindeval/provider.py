@@ -36,7 +36,7 @@ class ProviderConfig:
     timeout: float = 60.0
     credential_env: str | None = None  # None derives <PROVIDER_ID>_API_KEY; "" means none needed
     backoff_base: float = 1.0
-    max_concurrent: int = 4            # in-flight calls per provider_id, process-wide
+    max_concurrent: int = 4            # jobs in flight per provider, per grid (judge.run_grid)
 
     def __post_init__(self):
         # providers.json may write the temperature as 0 or 0.0; both are one
@@ -47,20 +47,6 @@ class ProviderConfig:
         if self.credential_env is None:
             return re.sub(r"[^A-Z0-9]", "_", self.provider_id.upper()) + "_API_KEY"
         return self.credential_env
-
-
-# one dispatch gate per provider_id; sized by the first config seen for it
-_DISPATCH_GATES: dict[str, threading.BoundedSemaphore] = {}
-_GATES_LOCK = threading.Lock()
-
-
-def _dispatch_gate(config: ProviderConfig) -> threading.BoundedSemaphore:
-    with _GATES_LOCK:
-        gate = _DISPATCH_GATES.get(config.provider_id)
-        if gate is None:
-            gate = threading.BoundedSemaphore(max(1, config.max_concurrent))
-            _DISPATCH_GATES[config.provider_id] = gate
-        return gate
 
 
 @dataclass(frozen=True)
@@ -165,19 +151,18 @@ def complete(
     start = time.monotonic()
     attempts = 0
     status, body = None, ""
-    with _dispatch_gate(config):
-        while attempts <= config.max_retries:
-            attempts += 1
-            status, body = transport(config, request_text, api_key)
-            if status == 200:
-                break
-            retryable = status is None or status in RETRYABLE_STATUSES
-            if not retryable or attempts > config.max_retries:
-                raise TransportError(
-                    f"provider {config.provider_id!r} failed with status {status} "
-                    f"after {attempts} attempt(s): {body[:200]}",
-                    status=status, attempts=attempts)
-            sleep(config.backoff_base * 2 ** (attempts - 1))
+    while attempts <= config.max_retries:
+        attempts += 1
+        status, body = transport(config, request_text, api_key)
+        if status == 200:
+            break
+        retryable = status is None or status in RETRYABLE_STATUSES
+        if not retryable or attempts > config.max_retries:
+            raise TransportError(
+                f"provider {config.provider_id!r} failed with status {status} "
+                f"after {attempts} attempt(s): {body[:200]}",
+                status=status, attempts=attempts)
+        sleep(config.backoff_base * 2 ** (attempts - 1))
     if status != 200:
         raise TransportError(
             f"provider {config.provider_id!r} exhausted {attempts} attempt(s); last status {status}",

@@ -130,6 +130,7 @@ def test_evaluate_mock_and_resume(run_dir, tmp_path, capsys):
     assert main(["-C", str(run_dir), "evaluate", "--roles", "R1,R2,R3",
                  "--models", "gpt,gemini", "--mock", "--concurrency", "4"]) == 0
     out = capsys.readouterr().out
+    assert "\ndispatch: 4 worker(s); cap gemini=4, gpt=4\ncase1_R1_gemini: done\n" in out
     assert "24 record(s) done, 0 failed, 24 job(s) total" in out
     n_transcripts = len(list((run_dir / "transcripts").glob("*.json")))
 
@@ -137,6 +138,7 @@ def test_evaluate_mock_and_resume(run_dir, tmp_path, capsys):
     (run_dir / "records" / "case2_R2_gpt.json").unlink()
     assert main(["-C", str(run_dir), "evaluate", "--roles", "R1,R2,R3",
                  "--models", "gpt,gemini", "--mock", "--resume"]) == 0
+    assert capsys.readouterr().out.startswith("dispatch: 1 worker(s); cap gemini=4, gpt=4\n")
     assert len(list((run_dir / "records").glob("*.json"))) == 24
     assert len(list((run_dir / "transcripts").glob("*.json"))) == n_transcripts + 1
 

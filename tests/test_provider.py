@@ -165,34 +165,6 @@ def test_fallback_seed_carries_prose_scores():
     assert re.search(r"Clarity: T1=\d", text)
 
 
-def test_dispatch_gate_bounds_concurrent_calls():
-    import threading
-    import time as time_mod
-    from concurrent.futures import ThreadPoolExecutor
-
-    in_flight = []
-    peak = [0]
-    lock = threading.Lock()
-
-    def slow(config, request_text, api_key):
-        with lock:
-            in_flight.append(1)
-            peak[0] = max(peak[0], len(in_flight))
-        time_mod.sleep(0.02)
-        with lock:
-            in_flight.pop()
-        return 200, _ok_body()
-
-    config = ProviderConfig(provider_id="gated-test", endpoint="none", model="m",
-                            credential_env="", max_concurrent=2)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        futures = [pool.submit(complete, config, [{"role": "user", "content": str(i)}],
-                               transport=slow) for i in range(8)]
-        for f in futures:
-            f.result()
-    assert peak[0] <= 2
-
-
 def test_failed_save_leaves_no_transcript_file(tmp_path, monkeypatch):
     store = TranscriptStore(tmp_path)
 

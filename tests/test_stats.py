@@ -490,12 +490,12 @@ def test_battery_blocks_match_full_scan_oracle(battery_table, blocking):
     assert battery.friedman.statistic == pytest.approx(friedman(oracle_rows).statistic, rel=1e-12)
 
 
-def test_permutation_symmetry_of_friedman(mock_table):
+def test_permutation_symmetry_of_friedman(mock_table, corpus):
     # relabeling candidates permutes pairwise results, leaves Friedman unchanged
     battery = version_difference_battery(mock_table)
-    relabeled = mock_table.transformed(lambda s: s)
-    relabeled._slot_map = {k: {"llm-baseline": "zz-baseline"}.get(v, v)
-                           for k, v in relabeled._slot_map.items()}
+    renamed = {k: {"llm-baseline": "zz-baseline"}.get(v, v)
+               for k, v in slot_map_from_corpus(corpus).items()}
+    relabeled = ScoreTable(mock_table.rows, renamed)
     battery2 = version_difference_battery(relabeled)
     assert battery2.friedman.statistic == pytest.approx(battery.friedman.statistic, abs=1e-12)
     rename = lambda s: "zz-baseline" if s == "llm-baseline" else s
