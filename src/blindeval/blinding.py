@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .corpus import SourceCase
-from .errors import BlindingError, BlindingLeakError
+from .errors import BlindingError, BlindingLeakError, ValidationError
 from .rng import Splitmix64, mix_seed
 from .store import from_doc, read_json, to_doc, write_json
 
@@ -79,11 +79,12 @@ def unblind(plan: BlindPlan, label: int) -> str:
     return plan.permutation[label - 1]
 
 
-def label_of(plan: BlindPlan, candidate_id: str) -> int:
-    for idx, cid in enumerate(plan.permutation, start=1):
-        if cid == candidate_id:
-            return idx
-    raise BlindingError(f"candidate {candidate_id!r} not in plan for case {plan.case_id!r}")
+def plan_for(plans: dict[str, BlindPlan], case_id: str) -> BlindPlan:
+    """The blind plan of a case, which every unblinding step needs."""
+    plan = plans.get(case_id)
+    if plan is None:
+        raise ValidationError(f"no blind plan for case {case_id!r}")
+    return plan
 
 
 # --- paper-layout fixture ----------------------------------------------------

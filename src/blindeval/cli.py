@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import blinding, fixtures, judge, parse as parsing, persona, report, scaffold, stats
+from . import blinding, fixtures, judge, persona, report, scaffold, stats
 from .corpus import SourceCase, load_corpus, save_case, validate_corpus
 from .errors import HarnessError, ValidationError
 from .provider import (KNOWN_PROVIDERS, ProviderConfig, TranscriptStore, make_mock_transport,
@@ -324,16 +324,9 @@ def cmd_parse(run: RunDirectory, args) -> int:
     else:
         records = [store.load(args.replay)]
     for old in records:
-        k = plans[old.case_id].k
-        parsed, mode = parsing.parse_evaluation(old.raw_response, k)
-        new = judge.EvaluationRecord(
-            case_id=old.case_id, role_id=old.role_id, model_id=old.model_id,
-            repeat_index=old.repeat_index, raw_response=old.raw_response,
-            scores=parsed.scores, interview=parsed.blocks, parse_mode=mode,
-            complete=parsed.is_complete(k), warnings=tuple(parsed.warnings),
-            call_id=old.call_id)
+        new = judge.judge_reply(old, plans, old.raw_response, old.call_id)
         store.save(new)
-        print(f"re-parsed {new.key()}: mode={mode} complete={new.complete}")
+        print(f"re-parsed {new.key()}: mode={new.parse_mode} complete={new.complete}")
     return 0
 
 

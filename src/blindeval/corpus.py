@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DuplicateIdError
+from .errors import DuplicateIdError, ValidationError
 from .store import from_doc, read_json, to_doc, write_json
 
 ORIGIN_HUMAN = "human"
@@ -46,7 +46,7 @@ class SourceCase:
         for c in self.candidates:
             if c.id == candidate_id:
                 return c
-        raise KeyError(f"no candidate {candidate_id!r} in case {self.id!r}")
+        raise ValidationError(f"no candidate {candidate_id!r} in case {self.id!r}")
 
     def slot_key(self, candidate: TranslationCandidate) -> str:
         """Cross-case treatment slot: the absent slot a substitute stands
@@ -83,16 +83,13 @@ class Corpus:
 
     def get(self, case_id: str) -> SourceCase:
         if case_id not in self._cases:
-            raise KeyError(f"unknown case {case_id!r}")
+            raise ValidationError(f"unknown case {case_id!r}")
         return self._cases[case_id]
 
     def add(self, case: SourceCase) -> None:
         if case.id in self._cases:
             raise DuplicateIdError(f"case id {case.id!r} already present")
         self._cases[case.id] = case
-
-    def candidate_count(self) -> int:
-        return sum(len(c.candidates) for c in self._cases.values())
 
 
 def validate_corpus(corpus: Corpus) -> list[Violation]:

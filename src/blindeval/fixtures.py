@@ -220,7 +220,3 @@ def demo_corpus() -> Corpus:
     ))
 
     return corpus
-
-
-def demo_role_map() -> dict[str, ReaderRole]:
-    return {role.id: role for role in DEMO_ROLES}

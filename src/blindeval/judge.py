@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .blinding import BlindPlan
+from .blinding import BlindPlan, plan_for
 from .corpus import Corpus
 from .errors import HarnessError, ValidationError
 from .parse import parse_evaluation
@@ -103,9 +103,6 @@ class JudgeContext:
     transcripts: TranscriptStore | None = None
     transports: dict[str, object] = field(default_factory=dict)  # model_id -> transport
 
-    def transport_for(self, model_id: str):
-        return self.transports.get(model_id)
-
 
 class RecordStore:
     """One JSON file per evaluation record; each job writes only its own."""
@@ -141,27 +138,33 @@ def _read_record(path: str | Path) -> EvaluationRecord:
 
 def execute_job(job: EvaluationJob, ctx: JudgeContext) -> EvaluationRecord:
     case = ctx.corpus.get(job.case_id)
-    plan = ctx.plans[job.case_id]
-    role = ctx.roles[job.role_id]
-    config = ctx.providers[job.model_id]
-    prompt = render_evaluation_prompt(role, case, plan, ctx.template)
+    plan = plan_for(ctx.plans, job.case_id)
+    prompt = render_evaluation_prompt(ctx.roles[job.role_id], case, plan, ctx.template)
     response, transcript = complete(
-        config, prompt.messages(),
-        transport=ctx.transport_for(job.model_id),
+        ctx.providers[job.model_id], prompt.messages(),
+        transport=ctx.transports.get(job.model_id),
         store=ctx.transcripts)
-    parsed, mode = parse_evaluation(response, plan.k)
+    return judge_reply(job, ctx.plans, response, transcript.call_id)
+
+
+def judge_reply(cell: GridCell, plans: dict[str, BlindPlan], raw_response: str,
+                call_id: str) -> EvaluationRecord:
+    """Parse a judge's reply into the record of its grid cell; shared by
+    ``evaluate`` and ``parse --replay``."""
+    k = plan_for(plans, cell.case_id).k
+    parsed, mode = parse_evaluation(raw_response, k)
     return EvaluationRecord(
-        case_id=job.case_id,
-        role_id=job.role_id,
-        model_id=job.model_id,
-        repeat_index=job.repeat_index,
-        raw_response=response,
+        case_id=cell.case_id,
+        role_id=cell.role_id,
+        model_id=cell.model_id,
+        repeat_index=cell.repeat_index,
+        raw_response=raw_response,
         scores=parsed.scores,
         interview=parsed.blocks,
         parse_mode=mode,
-        complete=parsed.is_complete(plan.k),
+        complete=parsed.is_complete(k),
         warnings=tuple(parsed.warnings),
-        call_id=transcript.call_id,
+        call_id=call_id,
     )
 
 

@@ -25,9 +25,6 @@ class ParsedEvaluation:
     blocks: dict[str, str]              # block id -> verbatim interview text
     warnings: list[str] = field(default_factory=list)
 
-    def cell_count(self) -> int:
-        return sum(len(d) for d in self.scores.values())
-
     def is_complete(self, k: int) -> bool:
         return (set(self.scores) == set(range(1, k + 1))
                 and all(set(d) == set(DIMENSIONS) for d in self.scores.values()))

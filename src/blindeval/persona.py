@@ -35,10 +35,6 @@ class QuestionBlock:
     heading: str
     dimension: str | None  # None for the non-rating restatement block
 
-    @property
-    def anchors(self) -> tuple[str, ...] | None:
-        return ANCHORS.get(self.dimension) if self.dimension else None
-
 
 BLOCKS = (
     QuestionBlock("understanding", "Degree of understanding and points of confusion", "Clarity"),
@@ -150,44 +146,24 @@ def count_word(k: int) -> str:
 
 @dataclass(frozen=True)
 class QuestionnaireTemplate:
+    """The intro and six-block text of the questionnaire; constructing one
+    checks that the block text carries every heading and anchor set."""
     intro_template: str = INTRO_TEMPLATE
     blocks_template: str = BLOCKS_TEMPLATE
-    blocks: tuple[QuestionBlock, ...] = BLOCKS
-    dimensions: tuple[str, ...] = DIMENSIONS
 
-    def validate(self) -> None:
-        rating_dims = [b.dimension for b in self.blocks if b.dimension]
-        if len(self.dimensions) != 5 or set(self.dimensions) != set(DIMENSIONS):
-            raise ValidationError(
-                f"template must carry exactly the five dimensions {DIMENSIONS}, got {self.dimensions}")
-        if sorted(rating_dims) != sorted(self.dimensions):
-            raise ValidationError(
-                "rating-bearing blocks and dimensions must be in bijection; "
-                f"blocks cover {rating_dims}")
-        for block in self.blocks:
+    def __post_init__(self):
+        for block in BLOCKS:
             if block.heading not in self.blocks_template:
                 raise ValidationError(f"block heading {block.heading!r} missing from template text")
             if block.dimension:
-                anchors = ANCHORS[block.dimension]
-                joined = " – ".join(anchors)
+                joined = " – ".join(ANCHORS[block.dimension])
                 if joined not in self.blocks_template:
                     raise ValidationError(
                         f"anchor set for {block.dimension} ({joined!r}) missing from template text")
 
-    def render_questionnaire(self, concepts: str, k: int) -> str:
-        """Intro plus the six blocks, contiguous (no candidate texts)."""
-        self.validate()
-        word = count_word(k)
-        intro = self.intro_template.replace("{count_word}", word)
-        blocks = (self.blocks_template
-                  .replace("{count_word}", word)
-                  .replace("{concepts}", concepts))
-        return intro + "\n\n" + blocks
-
     def render_blocks(self, concepts: str, k: int) -> str:
-        word = count_word(k)
         return (self.blocks_template
-                .replace("{count_word}", word)
+                .replace("{count_word}", count_word(k))
                 .replace("{concepts}", concepts))
 
     def render_intro(self, k: int) -> str:
@@ -200,16 +176,11 @@ def default_template() -> QuestionnaireTemplate:
 
 @dataclass(frozen=True)
 class RenderedPrompt:
-    system_text: str
     user_text: str
     render_hash: str
 
     def messages(self) -> list[dict[str, str]]:
-        msgs = []
-        if self.system_text:
-            msgs.append({"role": "system", "content": self.system_text})
-        msgs.append({"role": "user", "content": self.user_text})
-        return msgs
+        return [{"role": "user", "content": self.user_text}]
 
 
 def concept_block_for_case(case: SourceCase) -> str:
@@ -227,7 +198,6 @@ def render_evaluation_prompt(
         raise RenderError(f"plan is for case {plan.case_id!r}, not {case.id!r}")
     if sorted(plan.permutation) != sorted(case.candidate_ids()):
         raise RenderError(f"plan for case {case.id!r} does not cover its candidates")
-    template.validate()
 
     k = plan.k
     concepts = concept_block_for_case(case)
@@ -254,7 +224,7 @@ def render_evaluation_prompt(
     for label in range(1, k + 1):
         digest.update(case.get_candidate(unblind(plan, label)).text.encode("utf-8"))
         digest.update(b"\x00")
-    return RenderedPrompt(system_text="", user_text=user_text, render_hash=digest.hexdigest())
+    return RenderedPrompt(user_text=user_text, render_hash=digest.hexdigest())
 
 
 # --- disk formats -------------------------------------------------------------
@@ -292,6 +262,4 @@ def load_template(templates_dir: Path) -> QuestionnaireTemplate:
     if _TEMPLATE_SEPARATOR not in text:
         raise ValidationError(f"{path} lacks the intro/blocks separator")
     intro, blocks = text.split(_TEMPLATE_SEPARATOR, 1)
-    template = QuestionnaireTemplate(intro_template=intro, blocks_template=blocks)
-    template.validate()
-    return template
+    return QuestionnaireTemplate(intro_template=intro, blocks_template=blocks)

@@ -95,11 +95,6 @@ class TranscriptStore:
         path = self.path_for(call_id)
         return from_doc(Transcript, read_json(path), path)
 
-    def verify(self, call_id: str) -> bool:
-        """Request integrity on replay: digest must match stored body."""
-        t = self.load(call_id)
-        return hashlib.sha256(t.request_text.encode("utf-8")).hexdigest() == t.request_digest
-
 
 def canonical_request(config: ProviderConfig, messages: list[dict[str, str]]) -> str:
     payload = {"model": config.model, "messages": messages, "temperature": config.temperature}

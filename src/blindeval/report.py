@@ -115,8 +115,9 @@ def case_table(table: ScoreTable, case_id: str) -> list[CaseTableRow]:
         groups.setdefault(row.candidate_id, []).append(row.score)
     if not groups:
         raise ValidationError(f"no scores for case {case_id!r}")
+    slot_of = table.slot_of
     return [CaseTableRow(candidate_id=cid,
-                         slot=table.slot(case_id, cid),
+                         slot=slot_of[case_id, cid],
                          mean=sum(v) / len(v),
                          n=len(v))
             for cid, v in sorted(groups.items())]

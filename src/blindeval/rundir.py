@@ -114,7 +114,7 @@ def _scrub(value):
     return value
 
 
-def snapshot(root: Path, normalize_timestamps: bool = True) -> dict[str, str]:
+def snapshot(root: Path) -> dict[str, str]:
     """Map of relative path -> normalized content for tree comparison.
 
     JSON files are re-serialized canonically with volatile keys
@@ -126,7 +126,7 @@ def snapshot(root: Path, normalize_timestamps: bool = True) -> dict[str, str]:
         if not path.is_file() or path.name == LOCK_NAME:
             continue
         rel = str(path.relative_to(root))
-        if normalize_timestamps and path.suffix == ".json":
+        if path.suffix == ".json":
             doc = json.loads(path.read_text(encoding="utf-8"))
             out[rel] = json.dumps(_scrub(doc), ensure_ascii=False, sort_keys=True)
         else:
@@ -134,9 +134,9 @@ def snapshot(root: Path, normalize_timestamps: bool = True) -> dict[str, str]:
     return out
 
 
-def trees_identical(a: Path, b: Path, normalize_timestamps: bool = True) -> tuple[bool, list[str]]:
-    snap_a = snapshot(a, normalize_timestamps)
-    snap_b = snapshot(b, normalize_timestamps)
+def trees_identical(a: Path, b: Path) -> tuple[bool, list[str]]:
+    snap_a = snapshot(a)
+    snap_b = snapshot(b)
     diffs = sorted(set(snap_a) ^ set(snap_b))
     diffs += sorted(k for k in set(snap_a) & set(snap_b) if snap_a[k] != snap_b[k])
     return (not diffs), diffs

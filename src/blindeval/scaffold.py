@@ -166,9 +166,6 @@ class SessionStore:
             session.turns.append(from_doc(Turn, read_json(turn_path), turn_path))
         return session
 
-    def list_ids(self) -> list[str]:
-        return sorted(p.name for p in self.directory.iterdir() if p.is_dir())
-
 
 @dataclass
 class ScaffoldDeps:

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
-from .blinding import BlindPlan, unblind
+from .blinding import BlindPlan, plan_for, unblind
 from .corpus import Corpus
 from .errors import ValidationError
 
@@ -63,15 +63,14 @@ class ScoreTable:
     def __iter__(self):
         return iter(self.rows)
 
-    def slot(self, case_id: str, candidate_id: str) -> str:
-        return self._slot_map.get((case_id, candidate_id), candidate_id)
-
     @functools.cached_property
     def slot_of(self) -> Mapping[tuple[str, str], str]:
-        """(case, candidate) -> treatment slot for every pair in the table;
-        read-only, as it is shared by every caller."""
-        return types.MappingProxyType(
-            {pair: self.slot(*pair) for pair in set(map(_case_and_candidate, self.rows))})
+        """(case, candidate) -> treatment slot for every pair in the table: a
+        substitute's slot from the slot map, otherwise the candidate id.
+        Read-only, as it is shared by every caller."""
+        slot_map = self._slot_map
+        pairs = set(map(_case_and_candidate, self.rows))
+        return types.MappingProxyType({pair: slot_map.get(pair, pair[1]) for pair in pairs})
 
     def model_ids(self) -> list[str]:
         return sorted({r.model_id for r in self.rows})
@@ -168,9 +167,7 @@ def table_from_records(
             continue
         case_id, role_id, model_id = rec.case_id, rec.role_id, rec.model_id
         repeat = getattr(rec, "repeat_index", 0)
-        plan = plans.get(case_id)
-        if plan is None:
-            raise ValidationError(f"no blind plan for case {case_id!r}")
+        plan = plan_for(plans, case_id)
         for label, per_dim in rec.scores.items():
             candidate_id = unblind(plan, int(label))
             rows.extend([new_row(ScoreRow, (case_id, role_id, model_id, candidate_id,
@@ -192,16 +189,6 @@ def table_to_csv(table: ScoreTable) -> str:
     writer.writerow(CSV_COLUMNS)
     writer.writerows(sorted(table.rows, key=_row_key))
     return buf.getvalue()
-
-
-def table_from_csv(text: str, slot_map: dict[tuple[str, str], str] | None = None) -> ScoreTable:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CSV_COLUMNS:
-        raise ValidationError(f"unexpected CSV header {header!r}")
-    rows = [ScoreRow(c, role, m, cand, dim, int(score), int(rep))
-            for c, role, m, cand, dim, score, rep in reader]
-    return ScoreTable(rows, slot_map)
 
 
 def save_table_csv(table: ScoreTable, path: Path) -> Path:

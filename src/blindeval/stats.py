@@ -10,8 +10,8 @@ Conventions
 * ``average_ranks`` is the shared substrate: ranks 1..n with tied values
   receiving the mean of the ranks they span.
 * Spearman's rho is defined as the Pearson correlation of the two
-  midrank vectors (tie-robust).  The 6*sum(d^2) shortcut is provided
-  only as a no-ties cross-check.
+  midrank vectors (tie-robust).  The tests cross-check it without ties
+  against the 6*sum(d^2) shortcut (``tests/oracles.py``).
 * Kendall's W uses the tie-corrected form
       W = (12*S2 - 3*m^2*n*(n+1)^2) / (m^2*n*(n^2-1) - m*sum_j T_j)
   with T_j = sum(t^3 - t) over judge j's tie groups, tested via
@@ -131,17 +131,6 @@ def spearman_rho(x: list[float], y: list[float]) -> TestResult:
         tie_correction_applied=True,   # midrank definition is inherently tie-robust
         extras={"t": t},
     )
-
-
-def spearman_rho_shortcut(x: list[float], y: list[float]) -> float:
-    """No-ties shortcut 1 - 6*sum(d^2)/(n(n^2-1)); cross-check only."""
-    n = len(x)
-    if len(set(x)) != n or len(set(y)) != n:
-        raise StatsError("shortcut formula requires untied inputs")
-    rx = average_ranks(x)
-    ry = average_ranks(y)
-    d2 = sum((a - b) ** 2 for a, b in zip(rx, ry))
-    return 1.0 - 6.0 * d2 / (n * (n * n - 1))
 
 
 # --- concordance -------------------------------------------------------------

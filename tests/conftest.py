@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from blindeval import blinding, judge, persona, provider
-from blindeval.fixtures import demo_corpus, demo_role_map
+from blindeval.fixtures import DEMO_ROLES, demo_corpus
 from blindeval.rng import mix_seed
 from blindeval.scoretable import table_from_records
 
@@ -19,7 +19,7 @@ def corpus():
 
 @pytest.fixture
 def roles():
-    return demo_role_map()
+    return {role.id: role for role in DEMO_ROLES}
 
 
 @pytest.fixture

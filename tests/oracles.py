@@ -1,15 +1,20 @@
 """Independent oracles used to verify the statistics engine and the report.
 
 Deliberately built on different machinery than the engine: numpy/scipy
-ranking, brute-force enumeration, permutation resampling, and full scans
-of the score table for every report aggregate.  Nothing here imports from
-blindeval.stats or blindeval.report.
+ranking, brute-force enumeration, permutation resampling, the no-ties
+Spearman shortcut, and full scans of the score table for every report
+aggregate.  Nothing here imports from blindeval.stats or blindeval.report.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 from scipy.stats import rankdata
+
+from blindeval.scoretable import CSV_COLUMNS, ScoreRow, ScoreTable
 
 
 def brute_force_ranks(values):
@@ -25,6 +30,15 @@ def brute_force_ranks(values):
             ranks[order[t]] = sum(range(i + 1, j + 2)) / (j - i + 1)
         i = j + 1
     return ranks
+
+
+def spearman_rho_shortcut(x, y):
+    """No-ties shortcut 1 - 6*sum(d^2)/(n(n^2-1)) over brute-force ranks."""
+    n = len(x)
+    if len(set(x)) != n or len(set(y)) != n:
+        raise ValueError("shortcut formula requires untied inputs")
+    d2 = sum((a - b) ** 2 for a, b in zip(brute_force_ranks(x), brute_force_ranks(y)))
+    return 1.0 - 6.0 * d2 / (n * (n * n - 1))
 
 
 def rank_then_pearson(x, y):
@@ -116,6 +130,15 @@ def kendall_w_oracle(rows):
     return (12 * s2 - 3 * m * m * n * (n + 1) ** 2) / (m * m * n * (n * n - 1) - m * ties)
 
 
+def table_from_csv(text):
+    """A score table read back from ``scoretable.table_to_csv`` output."""
+    reader = csv.reader(io.StringIO(text))
+    assert next(reader) == CSV_COLUMNS
+    rows = [ScoreRow(c, role, m, cand, dim, int(score), int(rep))
+            for c, role, m, cand, dim, score, rep in reader]
+    return ScoreTable(rows)
+
+
 def case_table_full_scan(table, case_id):
     """(candidate, slot, mean, n) per candidate of one case, in candidate
     order, scanning every row of the table for each candidate."""
@@ -123,19 +146,19 @@ def case_table_full_scan(table, case_id):
     out = []
     for cand in candidates:
         scores = [r.score for r in table if r.case_id == case_id and r.candidate_id == cand]
-        out.append((cand, table.slot(case_id, cand), sum(scores) / len(scores), len(scores)))
+        out.append((cand, table.slot_of[case_id, cand], sum(scores) / len(scores), len(scores)))
     return out
 
 
 def radar_full_scan(table, dimensions):
     """(dimension, slot, mean, min, max, n) per dimension (in the given
     order) and treatment slot (sorted), scanning every row for each pair."""
-    slots = sorted({table.slot(r.case_id, r.candidate_id) for r in table})
+    slots = sorted({table.slot_of[r.case_id, r.candidate_id] for r in table})
     out = []
     for dimension in dimensions:
         for slot in slots:
             scores = [r.score for r in table
-                      if r.dimension == dimension and table.slot(r.case_id, r.candidate_id) == slot]
+                      if r.dimension == dimension and table.slot_of[r.case_id, r.candidate_id] == slot]
             if scores:
                 out.append((dimension, slot, sum(scores) / len(scores),
                             min(scores), max(scores), len(scores)))
@@ -152,14 +175,14 @@ def battery_blocks_full_scan(table, blocking):
     def block_of(r):
         return tuple(getattr(r, fields[b]) for b in blocking)
 
-    slots = sorted({table.slot(r.case_id, r.candidate_id) for r in table})
+    slots = sorted({table.slot_of[r.case_id, r.candidate_id] for r in table})
     rows, excluded = [], 0
     for block in sorted({block_of(r) for r in table}):
         row = []
         for slot in slots:
             cells = {}
             for r in table:
-                if block_of(r) == block and table.slot(r.case_id, r.candidate_id) == slot:
+                if block_of(r) == block and table.slot_of[r.case_id, r.candidate_id] == slot:
                     cell = (r.case_id, r.role_id, r.model_id, r.candidate_id, r.dimension)
                     cells.setdefault(cell, []).append(r.score)
             if not cells:

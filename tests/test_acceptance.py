@@ -177,7 +177,7 @@ def test_criterion_7_end_to_end_determinism(demo_run, tmp_path):
         elapsed = time.monotonic() - start
         assert elapsed < 60.0
         assert len(list((twin / "records").glob("*.json"))) == 24  # 4 x 3 x 2 grid
-        same, diffs = trees_identical(demo_run, twin, normalize_timestamps=True)
+        same, diffs = trees_identical(demo_run, twin)
         assert same, diffs
 
 
@@ -205,7 +205,9 @@ def test_criterion_8_dominance_battery_substitute():
 def test_criterion_9_questionnaire_fidelity():
     with criterion(9, "default questionnaire equals the checked-in golden copy (diff empty)"):
         golden = GOLDEN_PATH.read_text(encoding="utf-8")
-        rendered = default_template().render_questionnaire(DEMO_CONCEPT_BLOCK, 4) + "\n"
+        template = default_template()
+        rendered = (template.render_intro(4) + "\n\n"
+                    + template.render_blocks(DEMO_CONCEPT_BLOCK, 4) + "\n")
         assert rendered == golden
         for block in BLOCKS:
             assert block.heading in rendered

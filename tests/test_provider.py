@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -94,7 +95,8 @@ def test_transcript_persisted_before_return(tmp_path):
     _, transcript = complete(mock_config("p"), [{"role": "user", "content": "x"}],
                              transport=lambda *a: (200, _ok_body()), store=store)
     assert (tmp_path / f"{transcript.call_id}.json").exists()
-    assert store.verify(transcript.call_id)
+    on_disk = store.load(transcript.call_id)
+    assert hashlib.sha256(on_disk.request_text.encode("utf-8")).hexdigest() == on_disk.request_digest
 
 
 def test_temperature_recorded_in_transcript(tmp_path):

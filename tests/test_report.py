@@ -11,8 +11,8 @@ from blindeval.corpus import Corpus
 from blindeval.persona import DIMENSIONS
 from blindeval.report import (aggregate, build_report, case_csv, case_table, radar_csv,
                               radar_data, report_markdown, role_range_data, roles_csv)
-from blindeval.scoretable import ScoreRow, ScoreTable, table_from_csv, table_to_csv
-from oracles import case_table_full_scan, radar_full_scan
+from blindeval.scoretable import ScoreRow, ScoreTable, table_to_csv
+from oracles import case_table_full_scan, radar_full_scan, table_from_csv
 
 DIMS = ("Clarity", "CognitiveLoad", "Confidence", "Preference", "Transferability")
 
@@ -81,8 +81,7 @@ def test_case_table_unknown_case():
 def test_every_mean_recomputable_from_exported_csv(mock_table):
     exported = table_to_csv(mock_table)
     reloaded = table_from_csv(exported)
-    slot_of = {(r.case_id, r.candidate_id): mock_table.slot(r.case_id, r.candidate_id)
-               for r in mock_table}
+    slot_of = mock_table.slot_of
 
     groups = {}
     for row in reloaded:
@@ -157,7 +156,7 @@ def multi_case_table():
 
 
 def _csv_rows(path):
-    return list(csv.reader(path.open(encoding="utf-8")))[1:]
+    return list(csv.reader(path.read_text(encoding="utf-8").splitlines()))[1:]
 
 
 def test_report_aggregates_match_full_scan_oracles(tmp_path):

@@ -45,7 +45,8 @@ def test_two_sessions_get_distinct_ids(corpus, deps):
     a = start_session(corpus.get("case1"), deps)
     b = start_session(corpus.get("case1"), deps)
     assert a.session_id != b.session_id
-    assert sorted(deps.store.list_ids()) == sorted([a.session_id, b.session_id])
+    session_ids = [p.name for p in deps.store.directory.iterdir() if p.is_dir()]
+    assert sorted(session_ids) == sorted([a.session_id, b.session_id])
 
 
 def test_baseline_response_stored_verbatim(corpus, tmp_path):

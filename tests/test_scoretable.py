@@ -6,9 +6,10 @@ import re
 import pytest
 
 from blindeval.errors import ValidationError
-from blindeval.scoretable import (CSV_COLUMNS, ScoreRow, ScoreTable, table_from_csv,
-                                  table_from_records, table_to_csv)
+from blindeval.scoretable import (CSV_COLUMNS, ScoreRow, ScoreTable, table_from_records,
+                                  table_to_csv)
 from conftest import run_mock_grid
+from oracles import table_from_csv
 
 
 def test_duplicate_key_rejected():
@@ -141,7 +142,7 @@ def test_from_records_unblinds_by_plan(corpus, roles, plans, tmp_path):
     for row in table:
         assert row.candidate_id in corpus.get(row.case_id).candidate_ids()
     # the case4 substitute maps onto the absent slot
-    assert table.slot("case4", "li-zhaoguo-sub") == "unschuld"
+    assert table.slot_of["case4", "li-zhaoguo-sub"] == "unschuld"
 
 
 def test_incomplete_records_excluded_by_default(corpus, roles, plans, tmp_path):

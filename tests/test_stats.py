@@ -12,11 +12,12 @@ from blindeval.errors import DegenerateInputError, StatsError
 from blindeval.scoretable import ScoreRow, ScoreTable, slot_map_from_corpus
 from blindeval.stats import (average_ranks, battery_blocks, bonferroni, cross_model_agreement,
                              cross_role_agreement, friedman, kendall_w, model_paired_scores,
-                             role_object_means, spearman_rho, spearman_rho_shortcut,
-                             version_difference_battery, wilcoxon_signed_rank)
+                             role_object_means, spearman_rho, version_difference_battery,
+                             wilcoxon_signed_rank)
 from concordance_fixtures import RATINGS_W073, RATINGS_W078
 from oracles import (battery_blocks_full_scan, brute_force_ranks, friedman_permutation_p,
-                     kendall_w_oracle, rank_then_pearson, wilcoxon_exact_two_sided)
+                     kendall_w_oracle, rank_then_pearson, spearman_rho_shortcut,
+                     wilcoxon_exact_two_sided)
 
 
 # --- average_ranks -----------------------------------------------------------------
