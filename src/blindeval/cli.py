@@ -9,6 +9,8 @@ manifest; with --mock no command touches the network.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import sys
 from pathlib import Path
@@ -340,6 +342,23 @@ def _build_table(run: RunDirectory, include_incomplete: bool = False):
     return table, corpus, plans
 
 
+@contextlib.contextmanager
+def _no_cyclic_gc():
+    """Pause the cyclic garbage collector, restoring its previous state on
+    every exit.  The analysis verbs leave no reference cycles, so refcounting
+    frees all they drop, while a collection pass would walk every score row
+    still alive (a tuple subclass stays tracked).  The grid verbs keep the
+    collector: their retries leave exception and traceback cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_no_cyclic_gc()
 def cmd_stats(run: RunDirectory, args) -> int:
     if args.stats_command == "export":
         table, _, _ = _build_table(run)
@@ -366,6 +385,7 @@ def cmd_stats(run: RunDirectory, args) -> int:
     raise ValidationError(f"unknown stats subcommand {args.stats_command!r}")
 
 
+@_no_cyclic_gc()
 def cmd_report(run: RunDirectory, args) -> int:
     if args.report_command != "build":
         raise ValidationError(f"unknown report subcommand {args.report_command!r}")

@@ -12,16 +12,6 @@ from __future__ import annotations
 from .corpus import Corpus, SourceCase, TranslationCandidate
 from .persona import ReaderRole
 
-#: Block-1 concept list of the canonical questionnaire, including its
-#: original separator idiosyncrasies (trailing slashes, final question mark).
-DEMO_CONCEPT_BLOCK = (
-    "- the nature of term 虚邪 (contra-seasonal pathogenic qi)/\n"
-    "- the functional relationships among the five organs across the four seasons/\n"
-    "- the nature of 标本中气 (root/ branch/ mediating qi of the meridians)\n"
-    "- the patterns of interaction between the qi of Heaven and Earth and the related "
-    "mechanisms of disease?"
-)
-
 DEMO_ROLES = (
     ReaderRole(
         id="R1",

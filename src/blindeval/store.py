@@ -32,10 +32,12 @@ def write_json(path: Path, doc) -> Path:
 def read_json(path: Path):
     """Parsed document at ``path``; a missing, undecodable or malformed
     file (UnicodeDecodeError and JSONDecodeError are ValueErrors) raises
-    RunDirectoryError."""
+    RunDirectoryError.  The bytes are decoded as UTF-8 explicitly:
+    ``json.loads`` would also accept UTF-16 and UTF-32 bytes."""
     try:
-        with open(path, encoding="utf-8") as file:
-            return json.load(file)
+        with open(path, "rb") as file:
+            data = file.read()
+        return json.loads(data.decode("utf-8"))
     except (OSError, ValueError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         raise RunDirectoryError(f"cannot read {path}: {reason}") from None
@@ -71,13 +73,15 @@ def from_doc(cls, raw, source: Path | str | None = None):
 
 def _leaf(*kinds):
     """Decoder keeping a value whose exact type is one of ``kinds`` (exact:
-    a JSON true is not an int)."""
+    a JSON true is not an int).  ``decode.kinds`` lets a container of leaves
+    check all its items in one pass."""
     names = " or ".join(k.__name__ for k in kinds)
 
     def decode(raw):
         if type(raw) not in kinds:
             raise ValidationError(f"expected {names}, got {type(raw).__name__}")
         return raw
+    decode.kinds = frozenset(kinds)
     return decode
 
 
@@ -127,8 +131,11 @@ def _decoder(tp):
     if origin is dict:
         value = _decoder(args[1]) if args else _any
         key = _int_key if args and args[0] is int else None
+        kinds = None if key else getattr(value, "kinds", None)
 
         def decode(raw):
+            if kinds and type(raw) is dict and set(map(type, raw.values())) <= kinds:
+                return dict(raw)  # every value already has one of the leaf's types
             try:
                 if key is None:
                     return {k: value(v) for k, v in _dict(raw).items()}
@@ -140,8 +147,11 @@ def _decoder(tp):
         return decode
     if origin in (list, tuple, frozenset):
         item = _decoder(args[0]) if args else _any
+        kinds = getattr(item, "kinds", None)
 
         def decode(raw):
+            if kinds and type(raw) is list and set(map(type, raw)) <= kinds:
+                return origin(raw)
             try:
                 return origin(map(item, _list(raw)))
             except ValidationError:

@@ -2,8 +2,9 @@
 
 Deliberately built on different machinery than the engine: numpy/scipy
 ranking, brute-force enumeration, permutation resampling, the no-ties
-Spearman shortcut, and full scans of the score table for every report
-aggregate.  Nothing here imports from blindeval.stats or blindeval.report.
+Spearman shortcut, full scans of the score table for every report
+aggregate, and the concept block the golden questionnaire copy was written
+for.  Nothing here imports from blindeval.stats or blindeval.report.
 """
 
 from __future__ import annotations
@@ -15,6 +16,17 @@ import numpy as np
 from scipy.stats import rankdata
 
 from blindeval.scoretable import CSV_COLUMNS, ScoreRow, ScoreTable
+
+#: Block-1 concept list of the canonical questionnaire, as the golden copy
+#: (``data/questionnaire_golden.txt``) carries it, including its original
+#: separator idiosyncrasies (trailing slashes, final question mark).
+DEMO_CONCEPT_BLOCK = (
+    "- the nature of term 虚邪 (contra-seasonal pathogenic qi)/\n"
+    "- the functional relationships among the five organs across the four seasons/\n"
+    "- the nature of 标本中气 (root/ branch/ mediating qi of the meridians)\n"
+    "- the patterns of interaction between the qi of Heaven and Earth and the related "
+    "mechanisms of disease?"
+)
 
 
 def brute_force_ranks(values):

@@ -20,13 +20,14 @@ from scipy.stats import rankdata
 
 from blindeval.blinding import make_blind_plan, scan_for_leaks, unblind
 from blindeval.cli import main
-from blindeval.fixtures import DEMO_CONCEPT_BLOCK, demo_corpus
+from blindeval.fixtures import demo_corpus
 from blindeval.persona import ANCHORS, BLOCKS, DIMENSIONS, default_template
 from blindeval.rundir import trees_identical
 from blindeval.stats import (cross_model_agreement, cross_role_agreement, friedman, kendall_w,
                              spearman_rho, version_difference_battery, wilcoxon_signed_rank)
 from concordance_fixtures import RATINGS_W073, RATINGS_W078
-from oracles import friedman_permutation_p, rank_then_pearson, wilcoxon_exact_two_sided
+from oracles import (DEMO_CONCEPT_BLOCK, friedman_permutation_p, rank_then_pearson,
+                     wilcoxon_exact_two_sided)
 from test_stats import dominance_table
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "questionnaire_golden.txt"

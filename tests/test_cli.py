@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import shutil
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+from blindeval import cli
 from blindeval.cli import main
 from blindeval.fixtures import demo_corpus
 from blindeval.rundir import RunDirectory, snapshot, trees_identical
@@ -316,6 +318,32 @@ def test_case_add_of_non_json_file_is_a_single_line_error(run_dir, tmp_path, cap
     capsys.readouterr()
     assert main(["-C", str(run_dir), "case", "add", str(path)]) == 1
     _single_error_line(capsys, "notes.txt")
+
+
+@pytest.mark.parametrize("verb", [["stats", "export"], ["stats", "run"], ["report", "build"]])
+def test_analysis_verbs_pause_the_cyclic_gc_and_restore_it(full_run, run_dir, tmp_path, capsys,
+                                                            monkeypatch, verb):
+    target = tmp_path / "demo"
+    shutil.copytree(full_run, target)
+    seen = []
+    build = cli.table_from_records
+    monkeypatch.setattr(cli, "table_from_records",
+                        lambda *a, **kw: seen.append(gc.isenabled()) or build(*a, **kw))
+    assert gc.isenabled()
+    assert main(["-C", str(target), *verb]) == 0
+    assert seen == [False] and gc.isenabled()
+
+    capsys.readouterr()
+    assert main(["-C", str(run_dir), *verb]) == 1
+    _single_error_line(capsys, "no evaluation records")
+    assert gc.isenabled()
+
+    gc.disable()
+    try:
+        assert main(["-C", str(target), *verb]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("argv", [

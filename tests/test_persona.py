@@ -6,10 +6,10 @@ import pytest
 
 from blindeval.blinding import make_blind_plan, paper_layout_plan, unblind
 from blindeval.errors import BlindingLeakError, RenderError, ValidationError
-from blindeval.fixtures import DEMO_CONCEPT_BLOCK
 from blindeval.persona import (ANCHORS, BLOCKS, DIMENSIONS, QuestionnaireTemplate, ReaderRole,
                                concept_block_for_case, count_word, default_template, load_roles,
                                load_template, render_evaluation_prompt, save_role, save_template)
+from oracles import DEMO_CONCEPT_BLOCK
 
 GOLDEN = (Path(__file__).parent / "data" / "questionnaire_golden.txt").read_text(encoding="utf-8")
 

@@ -8,14 +8,20 @@ import pytest
 
 from blindeval.errors import ProviderConfigError, TransportError
 from blindeval.persona import DIMENSIONS
-from blindeval.provider import (ProviderConfig, TranscriptStore, canonical_request, complete,
-                                make_mock_transport, mock_config, mock_judge_response)
-from blindeval.store import from_doc
+from blindeval.provider import (ProviderConfig, Transcript, TranscriptStore, canonical_request,
+                                complete, make_mock_transport, mock_config, mock_judge_response)
+from blindeval.store import from_doc, read_json
 
 PROMPT_K4 = "\n".join(
     ["Please read these.", ""]
     + [f"Translation {i}:\nsome rendering {i}" for i in range(1, 5)]
 )
+
+
+def load_transcript(store: TranscriptStore, call_id: str) -> Transcript:
+    """The transcript of ``call_id`` as read back from disk."""
+    path = store.path_for(call_id)
+    return from_doc(Transcript, read_json(path), path)
 
 
 def _ok_body(content="hello"):
@@ -95,7 +101,7 @@ def test_transcript_persisted_before_return(tmp_path):
     _, transcript = complete(mock_config("p"), [{"role": "user", "content": "x"}],
                              transport=lambda *a: (200, _ok_body()), store=store)
     assert (tmp_path / f"{transcript.call_id}.json").exists()
-    on_disk = store.load(transcript.call_id)
+    on_disk = load_transcript(store, transcript.call_id)
     assert hashlib.sha256(on_disk.request_text.encode("utf-8")).hexdigest() == on_disk.request_digest
 
 
@@ -105,7 +111,7 @@ def test_temperature_recorded_in_transcript(tmp_path):
     _, transcript = complete(config, [{"role": "user", "content": "x"}],
                              transport=lambda *a: (200, _ok_body()), store=store)
     assert transcript.temperature == config.temperature
-    on_disk = store.load(transcript.call_id)
+    on_disk = load_transcript(store, transcript.call_id)
     assert on_disk.temperature == config.temperature
 
 

@@ -51,9 +51,17 @@ def test_round_trip_through_disk(tmp_path):
 def test_unreadable_files_raise_run_directory_error_naming_them(tmp_path):
     (tmp_path / "cut.json").write_text('{"case_id": "ca', encoding="utf-8")
     (tmp_path / "bytes.json").write_bytes(b'{"a": "\xff"}')
-    for name in ("cut.json", "bytes.json", "missing.json"):
+    (tmp_path / "utf16.json").write_text('{"a": 1}', encoding="utf-16")  # with a BOM
+    for name in ("cut.json", "bytes.json", "utf16.json", "missing.json"):
         with pytest.raises(RunDirectoryError, match=name):
             read_json(tmp_path / name)
+
+
+def test_crlf_document_reads_as_the_lf_one(tmp_path):
+    doc = to_doc(make_record(raw_response="line 1\nline 2"))
+    (tmp_path / "crlf.json").write_bytes(store.dumps(doc).replace("\n", "\r\n").encode("utf-8"))
+    assert b"\r\n" in (tmp_path / "crlf.json").read_bytes()
+    assert read_json(tmp_path / "crlf.json") == read_json(write_json(tmp_path / "lf.json", doc))
 
 
 def test_from_doc_rejects_wrong_types_naming_the_field():
@@ -91,6 +99,26 @@ def test_from_doc_names_the_key_or_index_at_fault():
     with pytest.raises(ValidationError,
                        match=r"^ScaffoldSession\.turns\[0\]: Turn\.prompt_text: expected str, got int$"):
         from_doc(ScaffoldSession, session)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("scores", {"1": {"Clarity": True}}, r"scores\[1\]\[Clarity\]: expected int, got bool"),
+    ("interview", {"a": "1", "b": 2}, r"interview\[b\]: expected str, got int"),
+    ("warnings", ["w", 3], r"warnings\[1\]: expected str, got int"),
+])
+def test_containers_of_leaves_keep_exact_types_and_locate_faults(field, value, message):
+    doc = to_doc(make_record())
+    doc[field] = value
+    with pytest.raises(ValidationError, match=rf"^r\.json: EvaluationRecord\.{message}$"):
+        from_doc(EvaluationRecord, doc, "r.json")
+
+
+def test_float_container_keeps_integral_numbers_as_written():
+    raw = {"a": 1, "b": 0.5}
+    decoded = from_doc(dict[str, float], raw)
+    assert decoded == raw and type(decoded["a"]) is int and decoded is not raw
+    with pytest.raises(ValidationError, match=r"^\[a\]: expected float or int, got bool$"):
+        from_doc(dict[str, float], {"a": True})
 
 
 def test_from_doc_reports_the_first_fault_in_decoding_order():
