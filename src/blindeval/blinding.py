@@ -16,7 +16,7 @@ from pathlib import Path
 from .corpus import SourceCase
 from .errors import BlindingError, BlindingLeakError, ValidationError
 from .rng import Splitmix64, mix_seed
-from .store import from_doc, read_json, to_doc, write_json
+from .store import from_doc, read_json, write_json
 
 ALGORITHM = "splitmix64/fisher-yates/v1"
 FIXTURE_ALGORITHM = "fixture/paper-layout"
@@ -169,7 +169,7 @@ def assert_no_leaks(text: str, case: SourceCase, where: str) -> None:
 # --- persistence -------------------------------------------------------------
 
 def save_plan(plan: BlindPlan, blinding_dir: Path) -> Path:
-    return write_json(Path(blinding_dir) / f"{plan.case_id}.json", to_doc(plan))
+    return write_json(Path(blinding_dir) / f"{plan.case_id}.json", plan)
 
 
 def load_plans(blinding_dir: Path) -> dict[str, BlindPlan]:

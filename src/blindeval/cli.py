@@ -23,7 +23,7 @@ from .provider import (KNOWN_PROVIDERS, ProviderConfig, TranscriptStore, make_mo
 from .rng import mix_seed
 from .rundir import RunDirectory
 from .scoretable import save_table_csv, table_from_records
-from .store import dumps, from_doc, read_json, to_doc
+from .store import dumps, from_doc, read_json, read_text
 
 
 def main(argv=None) -> int:
@@ -158,7 +158,7 @@ def cmd_case(run: RunDirectory, args) -> int:
     if args.case_command == "show":
         case = corpus.get(args.case_id)
         if args.json:
-            print(dumps(to_doc(case)), end="")
+            print(dumps(case), end="")
         else:
             print(f"{case.id}: {case.title}")
             print(f"source: {case.source_text}")
@@ -233,7 +233,7 @@ def cmd_scaffold(run: RunDirectory, args) -> int:
     if args.scaffold_command == "advance":
         supplement = args.supplement
         if args.supplement_file:
-            supplement = Path(args.supplement_file).read_text(encoding="utf-8")
+            supplement = read_text(args.supplement_file)
         deps = _scaffold_deps(run, model, args.mock)
         session = scaffold.advance(session, supplement, case, deps, hold=args.hold)
         print(f"session {session.session_id} at stage {session.stage} "
@@ -242,7 +242,7 @@ def cmd_scaffold(run: RunDirectory, args) -> int:
     if args.scaffold_command == "finalize":
         text = args.text
         if args.text_file:
-            text = Path(args.text_file).read_text(encoding="utf-8")
+            text = read_text(args.text_file)
         deps = _scaffold_deps(run, model, mock=True)  # no model call in this step
         session = scaffold.finalize(session, text, case, corpus, deps,
                                     cases_dir=run.path("cases"))

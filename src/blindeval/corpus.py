@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DuplicateIdError, ValidationError
-from .store import from_doc, read_json, to_doc, write_json
+from .store import from_doc, read_json, write_json
 
 ORIGIN_HUMAN = "human"
 ORIGIN_BASELINE = "llm_baseline"
@@ -132,7 +132,7 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 
 
 def save_case(case: SourceCase, cases_dir: Path) -> Path:
-    return write_json(Path(cases_dir) / f"{case.id}.json", to_doc(case))
+    return write_json(Path(cases_dir) / f"{case.id}.json", case)
 
 
 def load_corpus(cases_dir: Path) -> Corpus:

@@ -20,7 +20,7 @@ from .errors import HarnessError, ValidationError
 from .parse import parse_evaluation
 from .persona import QuestionnaireTemplate, ReaderRole, render_evaluation_prompt
 from .provider import ProviderConfig, TranscriptStore, complete
-from .store import from_doc, read_json, to_doc, write_json
+from .store import from_doc, read_json, write_json
 
 STATUS_PENDING = "pending"
 STATUS_RUNNING = "running"
@@ -118,7 +118,7 @@ class RecordStore:
         return self.path_for(key).exists()
 
     def save(self, record: EvaluationRecord) -> Path:
-        return write_json(self.path_for(record.key()), to_doc(record))
+        return write_json(self.path_for(record.key()), record)
 
     def load(self, key: str) -> EvaluationRecord:
         return _read_record(self.path_for(key))

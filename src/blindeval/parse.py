@@ -45,6 +45,15 @@ _DIM_LEAD_RES = [(dim, re.compile(rf"^\s*{p}\s*[:\-]\s*(.+)$", re.IGNORECASE))
                  for dim, p in _DIM_PATTERNS.items()]
 _DIM_SCORE_RES = [(dim, re.compile(rf"\b{p}\s*[:=]?\s*([1-5])(?:\s*/\s*5)?\b", re.IGNORECASE))
                   for dim, p in _DIM_PATTERNS.items()]
+# Necessary conditions, one search each: every lead pattern starts with one
+# of these literals after the spaces (Preference's may start "translation"),
+# and every score pattern contains one, under the same flags.  Most prose
+# lines name no dimension, so they skip the five patterns above.
+_DIM_LEAD_HINT_RE = re.compile(
+    r"\s*(?:clarity|cognitive|confidence|translation|preference|transferability)", re.IGNORECASE)
+_DIM_SCORE_HINT_RE = re.compile(
+    r"clarity|cognitive|confidence|preference|transferability", re.IGNORECASE)
+_CONTRACT_DIMENSIONS = {dim: dim for dim in DIMENSIONS}  # the spellings the prompt asks for
 
 _FENCE_RE = re.compile(r"```scores[ \t]*\n(.*?)```", re.DOTALL)
 _ENTRY_RE = re.compile(r"^\s*([A-Za-z][A-Za-z ]*?)\s*\[\s*(\d+)\s*\]\s*=\s*(-?\d+)\s*$")
@@ -52,6 +61,8 @@ _SPACES_RE = re.compile(r"\s+")
 
 
 def _canonical_dimension(raw: str) -> str | None:
+    if raw in _CONTRACT_DIMENSIONS:
+        return raw
     squeezed = _SPACES_RE.sub(" ", raw.strip().lower())
     for dim, name_re in _DIM_NAME_RES:
         if name_re.fullmatch(squeezed):
@@ -118,19 +129,22 @@ def parse_prose(response_text: str, k: int) -> ParsedEvaluation:
     text = _FENCE_RE.sub("", response_text)
     for line in text.splitlines():
         consumed = False
-        for dim, lead_re in _DIM_LEAD_RES:
-            lead = lead_re.match(line)
-            if lead:
-                for label_str, value_str in _T_PAIR_RE.findall(lead.group(1)):
-                    _offer(candidates, warnings, int(label_str), dim, int(value_str), k)
-                consumed = True
-                break
+        if _DIM_LEAD_HINT_RE.match(line):
+            for dim, lead_re in _DIM_LEAD_RES:
+                lead = lead_re.match(line)
+                if lead:
+                    for label_str, value_str in _T_PAIR_RE.findall(lead.group(1)):
+                        _offer(candidates, warnings, int(label_str), dim, int(value_str), k)
+                    consumed = True
+                    break
         if consumed:
             continue
         lead = _TRANSLATION_LEAD_RE.search(line)
         if lead:
             label = int(lead.group(1))
             rest = line[lead.end():]
+            if not _DIM_SCORE_HINT_RE.search(rest):
+                continue
             for dim, score_re in _DIM_SCORE_RES:
                 for m in score_re.finditer(rest):
                     _offer(candidates, warnings, label, dim, int(m.group(1)), k)

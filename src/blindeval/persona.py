@@ -15,6 +15,7 @@ from pathlib import Path
 from .blinding import BlindPlan, assert_no_leaks, unblind
 from .corpus import SourceCase
 from .errors import RenderError, ValidationError
+from .store import read_text
 
 DIMENSIONS = ("Clarity", "CognitiveLoad", "Confidence", "Preference", "Transferability")
 
@@ -239,7 +240,7 @@ def load_roles(personas_dir: Path) -> dict[str, ReaderRole]:
     roles = {}
     for path in sorted(Path(personas_dir).glob("*.txt")):
         roles[path.stem] = ReaderRole(id=path.stem,
-                                      persona_text=path.read_text(encoding="utf-8").rstrip("\n"))
+                                      persona_text=read_text(path).rstrip("\n"))
     return roles
 
 
@@ -256,7 +257,7 @@ def save_template(template: QuestionnaireTemplate, templates_dir: Path) -> Path:
 
 def load_template(templates_dir: Path) -> QuestionnaireTemplate:
     path = Path(templates_dir) / TEMPLATE_FILENAME
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path)
     if text.endswith("\n"):
         text = text[:-1]
     if _TEMPLATE_SEPARATOR not in text:

@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import ProviderConfigError, TransportError
 from .persona import DIMENSIONS
 from .rng import Splitmix64, mix_seed
-from .store import to_doc, write_json
+from .store import write_json
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 
@@ -89,7 +89,7 @@ class TranscriptStore:
             return call_id
 
     def save(self, transcript: Transcript) -> Path:
-        return write_json(self.path_for(transcript.call_id), to_doc(transcript))
+        return write_json(self.path_for(transcript.call_id), transcript)
 
 
 def canonical_request(config: ProviderConfig, messages: list[dict[str, str]]) -> str:

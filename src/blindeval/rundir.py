@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import RunDirectoryError
-from .store import from_doc, read_json, to_doc, write_json
+from .store import from_doc, read_json, write_json
 
 SCHEMA_VERSION = 1
 SUBDIRS = ("cases", "personas", "templates", "blinding", "sessions",
@@ -50,7 +50,7 @@ class RunDirectory:
         for sub in SUBDIRS:
             (root / sub).mkdir(exist_ok=True)
         manifest = Manifest(SCHEMA_VERSION, seed, datetime.now(timezone.utc).isoformat())
-        write_json(manifest_path, to_doc(manifest))
+        write_json(manifest_path, manifest)
         return cls(root=root, global_seed=seed)
 
     @classmethod

@@ -8,14 +8,14 @@ session can be replayed byte-for-byte from its stored inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .corpus import ORIGIN_ADJUSTED, Corpus, SourceCase, TranslationCandidate, save_case
 from .errors import StageError, ValidationError
 from .provider import ProviderConfig, TranscriptStore, complete
-from .store import from_doc, read_json, to_doc, write_json
+from .store import from_doc, read_json, write_json
 
 STAGE_BASELINE = "Baseline"
 STAGE_DIAGNOSE = "Diagnose"
@@ -146,10 +146,9 @@ class SessionStore:
     def save(self, session: ScaffoldSession) -> Path:
         root = self.directory / session.session_id
         root.mkdir(parents=True, exist_ok=True)
-        doc = to_doc(session)
-        turns = doc.pop("turns")
-        write_json(root / "session.json", {**doc, "turn_count": len(turns)})
-        for idx, turn in enumerate(turns, start=1):
+        doc = {f.name: getattr(session, f.name) for f in fields(session) if f.name != "turns"}
+        write_json(root / "session.json", {**doc, "turn_count": len(session.turns)})
+        for idx, turn in enumerate(session.turns, start=1):
             path = root / f"turn-{idx:03d}.json"
             if not path.exists():  # turns are append-only
                 write_json(path, turn)

@@ -1,10 +1,10 @@
 """The on-disk format of every JSON file in a run directory.
 
-One writer (canonical JSON: UTF-8, two-space indent, sorted keys, a
-trailing newline), one reader that turns any unreadable file into a
-RunDirectoryError naming it, and one codec between dataclasses and JSON
-documents.  ``from_doc`` decodes by the dataclass's type hints and rejects
-unknown and missing fields, so a typo never silently drops data.
+One writer (canonical JSON: UTF-8, two-space indent, sorted keys, LF line
+ends and a trailing newline), one reader that turns any unreadable file
+into a RunDirectoryError naming it, and one decoder from JSON documents to
+dataclasses.  ``from_doc`` decodes by the dataclass's type hints and
+rejects unknown and missing fields, so a typo never silently drops data.
 """
 
 from __future__ import annotations
@@ -14,19 +14,35 @@ import functools
 import json
 import types
 import typing
+from json.encoder import encode_basestring as _quote  # the escaper json.dumps uses
 from pathlib import Path
 
 from .errors import RunDirectoryError, ValidationError
 
 
-def dumps(doc) -> str:
-    return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+def dumps(obj) -> str:
+    """Canonical JSON text of ``obj``, written in one pass.
+
+    Dataclasses become objects of their fields, dict keys become ``str``
+    (keys that collide as strings keep the last value), tuples become
+    arrays and frozensets sorted arrays; objects sort their keys as
+    strings.  The text is what ``json.dumps(doc, ensure_ascii=False,
+    indent=2, sort_keys=True) + "\\n"`` gives for that converted ``doc``,
+    and a value json cannot write raises json's TypeError.
+    """
+    out: list[str] = []
+    _encode(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
-def write_json(path: Path, doc) -> Path:
-    path = Path(path)
-    path.write_text(dumps(doc), encoding="utf-8")
-    return path
+def write_json(path: Path, obj) -> Path:
+    """Write ``dumps(obj)`` to ``path`` as UTF-8 bytes (LF line ends on
+    every platform)."""
+    data = dumps(obj).encode("utf-8")
+    with open(path, "wb") as file:
+        file.write(data)
+    return Path(path)
 
 
 def read_json(path: Path):
@@ -39,22 +55,72 @@ def read_json(path: Path):
             data = file.read()
         return json.loads(data.decode("utf-8"))
     except (OSError, ValueError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-        raise RunDirectoryError(f"cannot read {path}: {reason}") from None
+        raise _unreadable(path, exc) from None
 
 
-def to_doc(obj):
-    """JSON-ready form: dataclasses become dicts, keys strings, tuples
-    lists and frozensets sorted lists."""
-    if dataclasses.is_dataclass(obj):
-        return {f.name: to_doc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_doc(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_doc(v) for v in obj]
-    if isinstance(obj, frozenset):
-        return sorted(to_doc(v) for v in obj)
-    return obj
+def read_text(path: Path) -> str:
+    """Text of the UTF-8 file at ``path``, CRLF and CR line ends read as LF;
+    a missing or undecodable file raises RunDirectoryError naming it."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            return file.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from None
+
+
+def _unreadable(path, exc: Exception) -> RunDirectoryError:
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return RunDirectoryError(f"cannot read {path}: {reason}")
+
+
+# --- the writer ------------------------------------------------------------------
+
+
+#: exact leaf type -> its JSON text, as json.dumps writes it (floats, rare in
+#: these files, take json.dumps itself for its NaN and Infinity spellings)
+_LEAF = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+         type(None): lambda _: "null"}
+
+
+@functools.cache
+def _members(cls) -> tuple[tuple[str, str], ...] | None:
+    """(field name, its quoted key and separator) of a dataclass, sorted by
+    name; None for any other type."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    return tuple((name, _quote(name) + ": ") for name in names)
+
+
+def _encode(obj, out: list[str], newline: str) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``newline`` is a line
+    break plus the indent of the line ``obj`` starts on."""
+    leaf = _LEAF.get(type(obj))
+    if leaf is not None:
+        out.append(leaf(obj))
+        return
+    members = _members(type(obj))
+    if members is not None:
+        brackets, entries = "{}", [(key, getattr(obj, name)) for name, key in members]
+    elif isinstance(obj, dict):
+        doc = {str(k): v for k, v in obj.items()}
+        brackets, entries = "{}", [(_quote(k) + ": ", doc[k]) for k in sorted(doc)]
+    elif isinstance(obj, (list, tuple, frozenset)):
+        items = sorted(obj) if isinstance(obj, frozenset) else obj
+        brackets, entries = "[]", [("", item) for item in items]
+    else:  # a float, a subclass of a leaf type, or a value json cannot write
+        out.append(json.dumps(obj, ensure_ascii=False))
+        return
+    if not entries:
+        out.append(brackets)
+        return
+    inner = newline + "  "
+    separator = brackets[0] + inner
+    for key, value in entries:
+        out.append(separator + key)
+        _encode(value, out, inner)
+        separator = "," + inner
+    out.append(newline + brackets[1])
 
 
 def from_doc(cls, raw, source: Path | str | None = None):

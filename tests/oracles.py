@@ -1,20 +1,28 @@
-"""Independent oracles used to verify the statistics engine and the report.
+"""Independent oracles used to verify the statistics engine, the report,
+the run-directory writer and the prose parser.
 
 Deliberately built on different machinery than the engine: numpy/scipy
 ranking, brute-force enumeration, permutation resampling, the no-ties
 Spearman shortcut, full scans of the score table for every report
-aggregate, and the concept block the golden questionnaire copy was written
-for.  Nothing here imports from blindeval.stats or blindeval.report.
+aggregate, the concept block the golden questionnaire copy was written
+for, the two-step JSON writer (``to_doc`` then json's own pretty-printer)
+and the score parser as it was before its lines were prefiltered.  Nothing
+here imports from blindeval.stats, blindeval.report or blindeval.store.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
+import json
+import re
 
 import numpy as np
 from scipy.stats import rankdata
 
+from blindeval.errors import ParseError
+from blindeval.parse import FencedBlockMissing, ParsedEvaluation, segment_interview
 from blindeval.scoretable import CSV_COLUMNS, ScoreRow, ScoreTable
 
 #: Block-1 concept list of the canonical questionnaire, as the golden copy
@@ -206,3 +214,133 @@ def battery_blocks_full_scan(table, blocking):
         else:
             excluded += 1
     return slots, rows, excluded
+
+
+# --- the run-directory writer -------------------------------------------------
+
+
+def to_doc(obj):
+    """JSON-ready form: dataclasses become dicts, keys strings, tuples
+    lists and frozensets sorted lists."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_doc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): to_doc(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_doc(v) for v in obj]
+    if isinstance(obj, frozenset):
+        return sorted(to_doc(v) for v in obj)
+    return obj
+
+
+def canonical_json(obj) -> str:
+    """The canonical run-directory text of ``obj``, in two steps: ``to_doc``,
+    then json's pretty-printer (its pure-Python encoder, as ``indent`` is
+    set)."""
+    return json.dumps(to_doc(obj), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+# --- the score parser, every regex tried on every line ---------------------------
+
+_DIM_PATTERNS = {
+    "Clarity": r"clarity",
+    "CognitiveLoad": r"cognitive\s*load",
+    "Confidence": r"confidence(?:\s+in\s+understanding)?",
+    "Preference": r"(?:translation\s+)?preference",
+    "Transferability": r"transferability(?:\s+of\s+theory(?:\s+to\s+clinical\s+practice)?)?",
+}
+_DIM_NAME_RES = [(dim, re.compile(p)) for dim, p in _DIM_PATTERNS.items()]
+_DIM_LEAD_RES = [(dim, re.compile(rf"^\s*{p}\s*[:\-]\s*(.+)$", re.IGNORECASE))
+                 for dim, p in _DIM_PATTERNS.items()]
+_DIM_SCORE_RES = [(dim, re.compile(rf"\b{p}\s*[:=]?\s*([1-5])(?:\s*/\s*5)?\b", re.IGNORECASE))
+                  for dim, p in _DIM_PATTERNS.items()]
+_FENCE_RE = re.compile(r"```scores[ \t]*\n(.*?)```", re.DOTALL)
+_ENTRY_RE = re.compile(r"^\s*([A-Za-z][A-Za-z ]*?)\s*\[\s*(\d+)\s*\]\s*=\s*(-?\d+)\s*$")
+_T_PAIR_RE = re.compile(r"\bT(?:ranslation)?\s*(\d+)\s*[=:]\s*([1-5])\b", re.IGNORECASE)
+_TRANSLATION_LEAD_RE = re.compile(r"\btranslation\s+(\d+)\b", re.IGNORECASE)
+
+
+def canonical_dimension(raw: str) -> str | None:
+    squeezed = re.sub(r"\s+", " ", raw.strip().lower())
+    for dim, name_re in _DIM_NAME_RES:
+        if name_re.fullmatch(squeezed):
+            return dim
+    return None
+
+
+def parse_evaluation(response_text: str, k: int) -> tuple[ParsedEvaluation, str]:
+    """``blindeval.parse.parse_evaluation`` with every dimension regex tried
+    on every line and every dimension name matched by regex."""
+    try:
+        return _parse_fenced(response_text, k), "fenced"
+    except FencedBlockMissing:
+        return _parse_prose(response_text, k), "prose_fallback"
+
+
+def _parse_fenced(response_text: str, k: int) -> ParsedEvaluation:
+    matches = _FENCE_RE.findall(response_text)
+    if not matches:
+        raise FencedBlockMissing("no fenced score block in response")
+    warnings: list[str] = []
+    if len(matches) > 1:
+        warnings.append(f"{len(matches)} fenced score blocks found; using the last")
+    scores: dict[int, dict[str, int]] = {}
+    for lineno, line in enumerate(matches[-1].splitlines(), start=1):
+        if not line.strip():
+            continue
+        m = _ENTRY_RE.match(line)
+        if not m:
+            raise ParseError(f"malformed score entry at block line {lineno}: {line.strip()!r}")
+        dim = canonical_dimension(m.group(1))
+        if dim is None:
+            raise ParseError(f"unknown dimension at block line {lineno}: {line.strip()!r}")
+        label, value = int(m.group(2)), int(m.group(3))
+        if not 1 <= label <= k:
+            raise ParseError(f"label {label} outside 1..{k} at block line {lineno}: {line.strip()!r}")
+        if not 1 <= value <= 5:
+            raise ParseError(f"score {value} outside 1..5 at block line {lineno}: {line.strip()!r}")
+        if dim in scores.get(label, {}):
+            warnings.append(f"duplicate entry for {dim}[{label}]; keeping the last")
+        scores.setdefault(label, {})[dim] = value
+    missing = 5 * k - sum(len(d) for d in scores.values())
+    if missing > 0:
+        warnings.append(f"{missing} of {5 * k} score cells missing from fenced block")
+    return ParsedEvaluation(scores=scores, blocks=segment_interview(response_text), warnings=warnings)
+
+
+def _parse_prose(response_text: str, k: int) -> ParsedEvaluation:
+    candidates: dict[tuple[int, str], set[int]] = {}
+    warnings: list[str] = []
+
+    def offer(label, dim, value):
+        if not 1 <= label <= k:
+            warnings.append(f"prose mentions out-of-range label {label}; ignored")
+            return
+        candidates.setdefault((label, dim), set()).add(value)
+
+    for line in _FENCE_RE.sub("", response_text).splitlines():
+        consumed = False
+        for dim, lead_re in _DIM_LEAD_RES:
+            lead = lead_re.match(line)
+            if lead:
+                for label_str, value_str in _T_PAIR_RE.findall(lead.group(1)):
+                    offer(int(label_str), dim, int(value_str))
+                consumed = True
+                break
+        if consumed:
+            continue
+        lead = _TRANSLATION_LEAD_RE.search(line)
+        if lead:
+            rest = line[lead.end():]
+            for dim, score_re in _DIM_SCORE_RES:
+                for m in score_re.finditer(rest):
+                    offer(int(lead.group(1)), dim, int(m.group(1)))
+
+    scores: dict[int, dict[str, int]] = {}
+    for (label, dim), values in sorted(candidates.items()):
+        if len(values) > 1:
+            warnings.append(
+                f"conflicting prose values for {dim}[{label}]: {sorted(values)}; cell dropped")
+            continue
+        scores.setdefault(label, {})[dim] = next(iter(values))
+    return ParsedEvaluation(scores=scores, blocks=segment_interview(response_text), warnings=warnings)

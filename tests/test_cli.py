@@ -13,7 +13,7 @@ from blindeval import cli
 from blindeval.cli import main
 from blindeval.fixtures import demo_corpus
 from blindeval.rundir import RunDirectory, snapshot, trees_identical
-from blindeval.store import to_doc, write_json
+from blindeval.store import write_json
 
 
 @pytest.fixture
@@ -27,7 +27,7 @@ def _add_demo_cases(run_dir, tmp_path):
     files = []
     for case in demo_corpus():
         path = tmp_path / f"{case.id}.src.json"
-        path = write_json(path, to_doc(case))
+        path = write_json(path, case)
         files.append(str(path))
     assert main(["-C", str(run_dir), "case", "add", *files]) == 0
 
@@ -376,3 +376,62 @@ def test_template_missing_a_block_heading_is_a_single_line_error(full_run, tmp_p
     capsys.readouterr()
     assert main(["-C", str(target), "evaluate", "--models", "gpt", "--mock"]) == 1
     _single_error_line(capsys, "'Cognitive load'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["advance", "--mock", "--supplement-file"],
+    ["finalize", "--text-file"],
+])
+@pytest.mark.parametrize("content", [None, b"caf\xe9\n"], ids=["missing", "latin1"])
+def test_unreadable_scaffold_text_file_is_a_single_line_error(full_run, tmp_path, capsys,
+                                                              argv, content):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    path = tmp_path / "supplement.txt"
+    if content is not None:
+        path.write_bytes(content)
+    capsys.readouterr()
+    assert main(["-C", str(target), "scaffold", argv[0], "--session", "case1-deepseek-01",
+                 *argv[1:], str(path)]) == 1
+    _single_error_line(capsys, "supplement.txt")
+
+
+def test_non_utf8_persona_is_a_single_line_error(full_run, tmp_path, capsys):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    (target / "personas" / "R1.txt").write_bytes(b"a reader who writes caf\xe9\n")
+    capsys.readouterr()
+    assert main(["-C", str(target), "evaluate", "--models", "gpt", "--mock"]) == 1
+    _single_error_line(capsys, "R1.txt")
+
+
+def test_missing_template_is_a_single_line_error(full_run, tmp_path, capsys):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    (target / "templates" / "questionnaire.default").unlink()
+    capsys.readouterr()
+    assert main(["-C", str(target), "evaluate", "--models", "gpt", "--mock"]) == 1
+    _single_error_line(capsys, "questionnaire.default")
+
+
+def test_crlf_persona_renders_as_the_lf_one(full_run, tmp_path):
+    from blindeval import persona
+
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    roles = persona.load_roles(target / "personas")
+    for path in (target / "personas").glob("*.txt"):
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert persona.load_roles(target / "personas") == roles
+
+
+def test_every_demo_json_file_is_canonical_bytes(full_run):
+    # snapshot() re-serializes JSON, so the pinned digest cannot see the format
+    paths = sorted(full_run.rglob("*.json"))
+    assert {p.relative_to(full_run).parts[0] for p in paths} == {
+        "manifest.json", "cases", "blinding", "records", "transcripts", "sessions"}
+    for path in paths:
+        data = path.read_bytes()
+        doc = json.loads(data.decode("utf-8"))
+        canonical = json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+        assert data == canonical.encode("utf-8"), path

@@ -5,7 +5,8 @@ import pytest
 from blindeval.corpus import (Corpus, SourceCase, TranslationCandidate, load_corpus, save_case,
                               validate_corpus)
 from blindeval.errors import DuplicateIdError, ValidationError
-from blindeval.store import from_doc, to_doc, write_json
+from blindeval.store import from_doc, write_json
+from oracles import to_doc
 
 
 def make_case(case_id="c1", n_candidates=2, **overrides):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from blindeval.cli import main
 from blindeval.errors import ParseError
 from blindeval.parse import (FencedBlockMissing, parse_evaluation, parse_fenced, parse_prose,
                              segment_interview)
@@ -209,3 +213,92 @@ def test_segmentation_never_crashes(text):
     blocks = segment_interview(text)
     assert set(blocks) <= {"understanding", "restatement", "cognitive_load",
                            "confidence", "preference", "transferability"}
+
+
+# --- differential: the prefiltered parser against every regex on every line -----
+
+
+def outcome(parser, text, k):
+    try:
+        return parser(text, k)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+_SPELLINGS = ["clarity", "cognitive load", "cognitiveload", "confidence",
+              "confidence in understanding", "preference", "translation preference",
+              "transferability", "transferability of theory to clinical practice",
+              "clarify", "cognition load", "trust"]
+
+
+@st.composite
+def dimension_names(draw):
+    words = draw(st.sampled_from(_SPELLINGS)).split(" ")
+    gaps = draw(st.lists(st.sampled_from([" ", "   ", "\t", ""]), min_size=len(words),
+                         max_size=len(words)))
+    name = "".join(w + g for w, g in zip(words, gaps)).rstrip(" \t")
+    return draw(st.sampled_from([str.lower, str.upper, str.title, str.swapcase]))(name)
+
+
+numbers = st.integers(-1, 12).map(str)
+pairs = st.builds(lambda tag, label, sep, value: f"{tag}{label}{sep}{value}",
+                  st.sampled_from(["T", "t", "Translation ", "translation", "T "]), numbers,
+                  st.sampled_from(["=", ": ", " = ", ":"]), numbers)
+lines = st.one_of(
+    # dimension-led: "cognitive   LOAD - T1=4, Translation 3: 2"
+    st.builds(lambda lead, name, sep, ps: f"{lead}{name}{sep}{', '.join(ps)}",
+              st.sampled_from(["", "  ", "- ", "**"]), dimension_names(),
+              st.sampled_from([": ", " - ", ":", " = ", " "]), st.lists(pairs, max_size=4)),
+    # translation-led: "Translation 2: Clarity 4/5, cognitive load=3"
+    st.builds(lambda lead, label, scores: f"{lead} {label}: {', '.join(scores)}",
+              st.sampled_from(["Translation", "translation", "For translation", "TRANSLATION"]),
+              numbers,
+              st.lists(st.builds(lambda name, sep, v, tail: f"{name}{sep}{v}{tail}",
+                                 dimension_names(), st.sampled_from([" ", "=", ": ", ""]),
+                                 numbers, st.sampled_from(["", "/5", " / 5", "/10"])),
+                       max_size=4)),
+    pairs,
+    st.text(max_size=40),
+)
+fences = st.builds(
+    lambda entries: "```scores\n" + "\n".join(entries) + "\n```",
+    st.lists(st.builds(lambda name, label, value: f"{name}[{label}]={value}",
+                       dimension_names(), numbers, numbers), max_size=6))
+# prose, with none, one or several score fences among it
+replies = st.lists(st.lists(lines, max_size=12).map("\n".join) | fences,
+                   min_size=1, max_size=3).map("\n".join)
+
+
+@given(replies, st.integers(2, 5))
+@example("cognitive   LOAD - T1=4, Translation 2: 5\nTranslation 3: cognitive load=2", 4)
+@example("Translation 3: Clarity 4/5\nTranslation 3: CLARITY: 2\nTranslation 7: confidence 3", 4)
+@example("Clarity: T1=5, T9=4\ncognitive\tload: t 2 = 3\n```scores\ncognitive   LOAD[2]=3\n```", 4)
+@settings(max_examples=300)
+def test_parse_evaluation_matches_the_unfiltered_reference(text, k):
+    assert outcome(parse_evaluation, text, k) == outcome(oracles.parse_evaluation, text, k)
+
+
+@pytest.fixture(scope="module")
+def demo_replies(tmp_path_factory):
+    target = tmp_path_factory.mktemp("demo") / "run"
+    assert main(["demo", str(target), "--seed", "7"]) == 0
+    out = []
+    for path in sorted((target / "records").glob("*.json")):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        plan = json.loads((target / "blinding" / f"{record['case_id']}.json").read_text(encoding="utf-8"))
+        out.append((record["raw_response"], len(plan["permutation"]), record["parse_mode"]))
+    return out
+
+
+def test_demo_replies_parse_as_the_unfiltered_reference(demo_replies):
+    assert {mode for _, _, mode in demo_replies} == {"fenced", "prose_fallback"}
+    for text, k, mode in demo_replies:
+        parsed = parse_evaluation(text, k)
+        assert parsed == oracles.parse_evaluation(text, k)
+        assert parsed[1] == mode
+
+
+def test_contract_spellings_canonicalise_as_the_reference():
+    for dim in DIMENSIONS:
+        assert oracles.canonical_dimension(dim) == dim
+    assert parse_fenced("```scores\ncognitive   LOAD[2]=3\n```", 4).scores == {2: {"CognitiveLoad": 3}}

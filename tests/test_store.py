@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import json
+import math
 import typing
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindeval import store
 from blindeval.errors import RunDirectoryError, ValidationError
 from blindeval.judge import EvaluationRecord
-from blindeval.scaffold import Diagnosis, ScaffoldSession, Turn
-from blindeval.store import from_doc, read_json, to_doc, write_json
+from blindeval.provider import Transcript
+from blindeval.scaffold import FAILURE_MODES, Diagnosis, ScaffoldSession, Turn
+from blindeval.store import from_doc, read_json, write_json
+from oracles import canonical_json, to_doc
 
 
 def make_record(**overrides):
@@ -154,3 +161,93 @@ def test_decoder_is_built_once_per_type(monkeypatch):
         assert calls == [EvaluationRecord]
     finally:
         store._decoder.cache_clear()
+
+
+# --- the one-pass writer against the two-step oracle -------------------------------
+
+
+@dataclass(frozen=True)
+class Leafy:
+    zeta: object
+    alpha: object = None
+
+
+@dataclass
+class Nest:
+    inner: Leafy
+    items: object
+    mid: object
+
+
+_AWKWARD = ["", "\x00\x1f\x7f", "\U0001F600 虚邪", "\u2028\u2029", '"\\/', "\ud7ff\ue000"]
+leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+          | st.sampled_from([2, 10, True, 1, False, 0, -0.0, 1e16, 1e-7, math.nan, math.inf,
+                             -math.inf, *_AWKWARD]))
+# keys that collide or sort differently once written as strings, drawn often
+awkward_keys = st.sampled_from([2, 10, 1, True, "1", "True", "10", "2"])
+keys = awkward_keys | awkward_keys | st.text(max_size=6) | st.integers()
+trees = st.recursive(
+    leaves | st.frozensets(st.text(max_size=4)) | st.frozensets(st.integers()),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(keys, children, max_size=5)
+                      | st.builds(Leafy, children, children)
+                      | st.builds(Nest, st.builds(Leafy, children), children, children)),
+    max_leaves=24)
+
+
+@given(trees)
+@settings(max_examples=300)
+def test_dumps_matches_the_two_step_oracle(tree):
+    assert store.dumps(tree) == canonical_json(tree)
+
+
+@pytest.mark.parametrize("tree, text", [
+    ({2: "b", 10: "a"}, '{\n  "10": "a",\n  "2": "b"\n}\n'),
+    ({1: "int", "1": "str"}, '{\n  "1": "str"\n}\n'),
+    ([True, 1, {}, [], ()], '[\n  true,\n  1,\n  {},\n  [],\n  []\n]\n'),
+    (frozenset({"b", "a"}), '[\n  "a",\n  "b"\n]\n'),
+    ([-0.0, 1e16, math.nan, -math.inf], '[\n  -0.0,\n  1e+16,\n  NaN,\n  -Infinity\n]\n'),
+    (Leafy(zeta="\U0001F600\x01"), '{\n  "alpha": null,\n  "zeta": "\U0001F600\\u0001"\n}\n'),
+])
+def test_dumps_known_texts(tree, text):
+    assert store.dumps(tree) == canonical_json(tree) == text
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, b"bytes", object(), [Leafy(zeta={"k": {3}})]])
+def test_dumps_raises_jsons_type_error(bad, tmp_path):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        canonical_json(bad)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        store.dumps(bad)
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "bad.json", bad)
+    assert not (tmp_path / "bad.json").exists()
+
+
+texts = st.text(max_size=20)
+finite = st.floats(allow_nan=False)
+records = st.builds(
+    EvaluationRecord, case_id=texts, role_id=texts, model_id=texts, repeat_index=st.integers(),
+    raw_response=st.text(), scores=st.dictionaries(st.integers(), st.dictionaries(texts, st.integers())),
+    interview=st.dictionaries(texts, texts), parse_mode=texts, complete=st.booleans(),
+    warnings=st.lists(texts).map(tuple), call_id=texts)
+transcripts = st.builds(Transcript, call_id=texts, provider_id=texts, request_digest=texts,
+                        request_text=st.text(), response_text=st.text(), latency_s=finite,
+                        attempts=st.integers(), timestamp=texts, temperature=finite)
+sessions = st.builds(
+    ScaffoldSession, session_id=texts, case_id=texts, translation_model=texts, stage=texts,
+    turns=st.lists(st.builds(Turn, texts, texts, texts, texts, texts, texts), max_size=3),
+    diagnosis=st.none() | st.builds(Diagnosis, st.just(True), notes=texts)
+    | st.builds(Diagnosis, st.just(False), st.frozensets(st.sampled_from(sorted(FAILURE_MODES))), texts),
+    final_text=st.none() | texts, pending_stages=st.lists(texts, max_size=3))
+
+
+@pytest.mark.parametrize("cls, values", [(EvaluationRecord, records), (Transcript, transcripts),
+                                         (ScaffoldSession, sessions)])
+@given(data=st.data())
+def test_from_doc_round_trips_what_dumps_writes(cls, values, data):
+    obj = data.draw(values)
+    text = store.dumps(obj)
+    assert text == canonical_json(obj)
+    assert from_doc(cls, json.loads(text)) == obj
