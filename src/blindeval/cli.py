@@ -23,7 +23,7 @@ from .provider import (KNOWN_PROVIDERS, ProviderConfig, TranscriptStore, make_mo
 from .rng import mix_seed
 from .rundir import RunDirectory
 from .scoretable import save_table_csv, table_from_records
-from .store import dumps, from_doc, read_json, read_text
+from .store import dumps, from_doc, read_json, read_text, write_text
 
 
 def main(argv=None) -> int:
@@ -118,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(args) -> int:
     if args.command == "init":
-        run = RunDirectory.init(Path(args.target), seed=args.seed)
-        persona.save_template(persona.default_template(), run.path("templates"))
+        run = _init_run(Path(args.target), args.seed)
         print(f"initialized run directory {run.root} (seed {run.global_seed})")
         return 0
     if args.command == "demo":
@@ -128,6 +127,13 @@ def dispatch(args) -> int:
     run = RunDirectory.open(Path(args.dir))
     with run.lock():
         return VERBS[args.command](run, args)
+
+
+def _init_run(target: Path, seed: int) -> RunDirectory:
+    """A new run directory holding the default questionnaire template."""
+    run = RunDirectory.init(target, seed=seed)
+    persona.save_template(persona.default_template(), run.path("templates"))
+    return run
 
 
 # --- verbs -------------------------------------------------------------------
@@ -377,8 +383,7 @@ def cmd_stats(run: RunDirectory, args) -> int:
                 cross_role[model_id] = stats.cross_role_agreement(table, model_id)
         battery = stats.version_difference_battery(table, blocking)
         text = report.results_text(cross_model, cross_role, battery)
-        path = run.path("report") / "results.txt"
-        path.write_text(text, encoding="utf-8")
+        path = write_text(run.path("report") / "results.txt", text)
         print(f"wrote {path}")
         print(text, end="")
         return 0
@@ -399,14 +404,13 @@ def cmd_report(run: RunDirectory, args) -> int:
 def cmd_demo(target: Path, seed: int) -> int:
     """Whole pipeline on the bundled corpus with mock judges: the fixture
     cases and personas, then the verbs from blind to report build."""
-    run = RunDirectory.init(target, seed=seed)
+    run = _init_run(target, seed)
     with run.lock():
         corpus = fixtures.demo_corpus()
         for case in corpus:
             save_case(case, run.path("cases"))
         for role in fixtures.DEMO_ROLES:
             persona.save_role(role, run.path("personas"))
-        persona.save_template(persona.default_template(), run.path("templates"))
         print(f"demo: wrote {len(corpus)} cases, {len(fixtures.DEMO_ROLES)} personas")
         parser = build_parser()
         for verb in (["blind"], ["evaluate", "--models", "gpt,gemini", "--mock", "--concurrency", "4"],

@@ -19,21 +19,18 @@ DEMO_ROLES = (
             "a Western-trained physician interested in integrative medicine who has "
             "attended an International Advanced Training Program on Clinical Practice "
             "and Research Progress in Traditional Chinese Medicine in China."),
-        evaluation_focus="Clinical applicability; conceptual linkage",
     ),
     ReaderRole(
         id="R2",
         persona_text=(
             "a licensed TCM practitioner in the United States who has received "
             "NCCAOM-accredited TCM training."),
-        evaluation_focus="Terminological rigour; alignment with classical theory",
     ),
     ReaderRole(
         id="R3",
         persona_text=(
             "a Western-trained physician working in the UK NHS system who has completed "
             "a Master's program in Chinese Medicine at the London Chinese Medicine College."),
-        evaluation_focus="Interdisciplinary integration",
     ),
 )
 

@@ -179,28 +179,28 @@ def parse_evaluation(response_text: str, k: int) -> tuple[ParsedEvaluation, str]
 _WORD_NUMBERS = "one|two|three|four|five|six"
 
 
-def _heading_pattern(heading: str) -> re.Pattern:
-    words = r"\s+".join(re.escape(w) for w in heading.split())
-    return re.compile(
-        rf"(?im)^[#*\s]*(?:(?:block|section|task|part|question|q)\s*)?"
-        rf"(?:\d+|{_WORD_NUMBERS})?\s*[.):\-]*\s*{words}\s*[:.]?\s*$")
+def _heading_words(heading: str) -> str:
+    return r"\s+".join(re.escape(w) for w in heading.split())  # words may wrap across lines
 
 
-_BLOCK_PATTERNS = [(block.block_id, _heading_pattern(block.heading)) for block in BLOCKS]
+# every block's heading, each in a group named after its block
+_HEADINGS = "|".join(f"(?P<{block.block_id}>{_heading_words(block.heading)})" for block in BLOCKS)
+_HEADING_RE = re.compile(
+    rf"(?im)^[#*\s]*(?:(?:block|section|task|part|question|q)\s*)?"
+    rf"(?:\d+|{_WORD_NUMBERS})?\s*[.):\-]*\s*(?:{_HEADINGS})\s*[:.]?\s*$")
 
 
 def segment_interview(response_text: str) -> dict[str, str]:
     """Split a response into the six questionnaire blocks.
 
     Keys on the block headings with fuzzy numbering (digits, number
-    words, or none).  Blocks a judge skipped are simply absent.
+    words, or none); a repeated heading counts at its first occurrence.
+    Blocks a judge skipped are simply absent.
     """
-    found: list[tuple[int, int, str]] = []
-    for block_id, pattern in _BLOCK_PATTERNS:
-        m = pattern.search(response_text)
-        if m:
-            found.append((m.start(), m.end(), block_id))
-    found.sort()
+    first: dict[str, tuple[int, int]] = {}
+    for m in _HEADING_RE.finditer(response_text):
+        first.setdefault(m.lastgroup, m.span())
+    found = [(start, end, block_id) for block_id, (start, end) in first.items()]
     fence = _FENCE_RE.search(response_text)
     tail = fence.start() if fence else len(response_text)
     blocks: dict[str, str] = {}

@@ -15,7 +15,7 @@ from pathlib import Path
 from .blinding import BlindPlan, assert_no_leaks, unblind
 from .corpus import SourceCase
 from .errors import RenderError, ValidationError
-from .store import read_text
+from .store import read_text, write_text
 
 DIMENSIONS = ("Clarity", "CognitiveLoad", "Confidence", "Preference", "Transferability")
 
@@ -51,7 +51,6 @@ BLOCKS = (
 class ReaderRole:
     id: str
     persona_text: str
-    evaluation_focus: str = ""
 
     def __post_init__(self):
         if not self.persona_text.strip():
@@ -231,9 +230,7 @@ def render_evaluation_prompt(
 # --- disk formats -------------------------------------------------------------
 
 def save_role(role: ReaderRole, personas_dir: Path) -> Path:
-    path = Path(personas_dir) / f"{role.id}.txt"
-    path.write_text(role.persona_text + "\n", encoding="utf-8")
-    return path
+    return write_text(Path(personas_dir) / f"{role.id}.txt", role.persona_text + "\n")
 
 
 def load_roles(personas_dir: Path) -> dict[str, ReaderRole]:
@@ -249,10 +246,8 @@ _TEMPLATE_SEPARATOR = "\n\n<<<blocks>>>\n\n"
 
 
 def save_template(template: QuestionnaireTemplate, templates_dir: Path) -> Path:
-    path = Path(templates_dir) / TEMPLATE_FILENAME
-    path.write_text(template.intro_template + _TEMPLATE_SEPARATOR + template.blocks_template + "\n",
-                    encoding="utf-8")
-    return path
+    return write_text(Path(templates_dir) / TEMPLATE_FILENAME,
+                      template.intro_template + _TEMPLATE_SEPARATOR + template.blocks_template + "\n")
 
 
 def load_template(templates_dir: Path) -> QuestionnaireTemplate:

@@ -7,8 +7,6 @@ rebuilt report is byte-identical.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +15,7 @@ from .errors import ValidationError
 from .persona import DIMENSIONS
 from .scoretable import ScoreTable
 from .stats import BatteryResult, TestResult
+from .store import csv_text, write_text
 
 #: Reference values reported by the source study; the raw per-rating data
 #: behind them is unpublished, so the harness documents rather than
@@ -143,30 +142,18 @@ def _fmt(x: float) -> str:
 
 
 def radar_csv(radar: list[DimensionSummary]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["dimension", "candidate", "mean", "min", "max", "n"])
-    for s in radar:
-        w.writerow([s.dimension, s.candidate, _fmt(s.mean), s.min, s.max, s.n])
-    return buf.getvalue()
+    return csv_text(["dimension", "candidate", "mean", "min", "max", "n"],
+                    [(s.dimension, s.candidate, _fmt(s.mean), s.min, s.max, s.n) for s in radar])
 
 
 def roles_csv(roles: list[RoleSummary]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["role", "candidate", "mean", "range", "n"])
-    for s in roles:
-        w.writerow([s.role, s.candidate, _fmt(s.mean), s.range, s.n])
-    return buf.getvalue()
+    return csv_text(["role", "candidate", "mean", "range", "n"],
+                    [(s.role, s.candidate, _fmt(s.mean), s.range, s.n) for s in roles])
 
 
 def case_csv(rows: list[CaseTableRow]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["candidate", "slot", "mean", "mean_2dp", "n"])
-    for row in rows:
-        w.writerow([row.candidate_id, row.slot, _fmt(row.mean), row.mean_display, row.n])
-    return buf.getvalue()
+    return csv_text(["candidate", "slot", "mean", "mean_2dp", "n"],
+                    [(r.candidate_id, r.slot, _fmt(r.mean), r.mean_display, r.n) for r in rows])
 
 
 def format_test_result(result: TestResult) -> str:
@@ -320,9 +307,7 @@ def build_report(
     written = []
 
     def emit(relpath: str, content: str):
-        path = report_dir / relpath
-        path.write_text(content, encoding="utf-8")
-        written.append(path)
+        written.append(write_text(report_dir / relpath, content))
 
     aggregates = aggregate(table)
     emit("radar.csv", radar_csv(aggregates.radar))

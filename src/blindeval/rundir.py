@@ -118,7 +118,9 @@ def snapshot(root: Path) -> dict[str, str]:
     """Map of relative path -> normalized content for tree comparison.
 
     JSON files are re-serialized canonically with volatile keys
-    (timestamps, latencies) replaced; other files compare byte-for-byte.
+    (timestamps, latencies) replaced; other files compare byte-for-byte,
+    decoded as UTF-8 with their line ends untouched.  An unreadable JSON
+    file raises RunDirectoryError naming it.
     """
     root = Path(root)
     out: dict[str, str] = {}
@@ -127,10 +129,9 @@ def snapshot(root: Path) -> dict[str, str]:
             continue
         rel = str(path.relative_to(root))
         if path.suffix == ".json":
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            out[rel] = json.dumps(_scrub(doc), ensure_ascii=False, sort_keys=True)
+            out[rel] = json.dumps(_scrub(read_json(path)), ensure_ascii=False, sort_keys=True)
         else:
-            out[rel] = path.read_text(encoding="utf-8")
+            out[rel] = path.read_bytes().decode("utf-8")
     return out
 
 

@@ -279,10 +279,5 @@ def finalize(session: ScaffoldSession, chosen_text: str, case: SourceCase,
     return session
 
 
-def replay_prompts(session: ScaffoldSession, case: SourceCase) -> list[str]:
-    """Re-render every stored turn's prompt from its template and inputs."""
-    return [render_stage_prompt(t.stage_at_send, case, t.supplement) for t in session.turns]
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()

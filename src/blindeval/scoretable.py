@@ -8,9 +8,7 @@ labels again.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import operator
 import types
 from collections.abc import Iterable, Mapping
@@ -20,6 +18,7 @@ from typing import NamedTuple
 from .blinding import BlindPlan, plan_for, unblind
 from .corpus import Corpus
 from .errors import ValidationError
+from .store import csv_text, write_text
 
 LIKERT_MIN, LIKERT_MAX = 1, 5
 #: (type, value) of every valid score, so that True, 3.0 and "3" fail
@@ -184,14 +183,8 @@ CSV_COLUMNS = ["case", "role", "model", "candidate", "dimension", "score", "repe
 
 
 def table_to_csv(table: ScoreTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(sorted(table.rows, key=_row_key))
-    return buf.getvalue()
+    return csv_text(CSV_COLUMNS, sorted(table.rows, key=_row_key))
 
 
 def save_table_csv(table: ScoreTable, path: Path) -> Path:
-    path = Path(path)
-    path.write_text(table_to_csv(table), encoding="utf-8")
-    return path
+    return write_text(path, table_to_csv(table))

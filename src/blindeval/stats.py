@@ -398,9 +398,6 @@ class PairwiseComparison:
     result: TestResult | None          # None when the pair is degenerate
     note: str = ""
 
-    def significant(self, alpha: float) -> bool:
-        return self.result is not None and self.result.reported_p < alpha
-
 
 @dataclass(frozen=True)
 class BatteryResult:

@@ -1,16 +1,19 @@
-"""The on-disk format of every JSON file in a run directory.
+"""The on-disk format of every file in a run directory.
 
-One writer (canonical JSON: UTF-8, two-space indent, sorted keys, LF line
-ends and a trailing newline), one reader that turns any unreadable file
-into a RunDirectoryError naming it, and one decoder from JSON documents to
+One writer (UTF-8 bytes with LF line ends on every platform), one CSV
+encoder, canonical JSON (two-space indent, sorted keys and a trailing
+newline), one reader that turns any unreadable file into a
+RunDirectoryError naming it, and one decoder from JSON documents to
 dataclasses.  ``from_doc`` decodes by the dataclass's type hints and
 rejects unknown and missing fields, so a typo never silently drops data.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
+import io
 import json
 import types
 import typing
@@ -36,13 +39,27 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
-def write_json(path: Path, obj) -> Path:
-    """Write ``dumps(obj)`` to ``path`` as UTF-8 bytes (LF line ends on
-    every platform)."""
-    data = dumps(obj).encode("utf-8")
+def write_text(path: Path, text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8 bytes, encoded before the file is
+    opened; the binary write keeps LF line ends on every platform."""
+    data = text.encode("utf-8")
     with open(path, "wb") as file:
         file.write(data)
     return Path(path)
+
+
+def write_json(path: Path, obj) -> Path:
+    """Write ``dumps(obj)`` to ``path``."""
+    return write_text(path, dumps(obj))
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of ``header`` then ``rows``, with LF line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def read_json(path: Path):

@@ -435,3 +435,14 @@ def test_every_demo_json_file_is_canonical_bytes(full_run):
         doc = json.loads(data.decode("utf-8"))
         canonical = json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
         assert data == canonical.encode("utf-8"), path
+
+
+def test_every_demo_file_is_utf8_with_lf_line_ends(full_run):
+    paths = sorted(p for p in full_run.rglob("*") if p.is_file())
+    names = {str(p.relative_to(full_run)) for p in paths}
+    assert {"report/scores.csv", "report/radar.csv", "report/roles.csv", "report/cases/case1.csv",
+            "report/report.md", "report/results.txt", "personas/R1.txt",
+            "templates/questionnaire.default"} <= names
+    for path in paths:
+        text = path.read_bytes().decode("utf-8")
+        assert "\r" not in text and text.endswith("\n"), path

@@ -11,7 +11,7 @@ from blindeval.cli import main
 from blindeval.errors import ParseError
 from blindeval.parse import (FencedBlockMissing, parse_evaluation, parse_fenced, parse_prose,
                              segment_interview)
-from blindeval.persona import DIMENSIONS
+from blindeval.persona import BLOCKS, DIMENSIONS
 from blindeval.provider import mock_judge_response
 
 PROMPT_K4 = "\n".join(f"Translation {i}:\nrendering {i}" for i in range(1, 5))
@@ -302,3 +302,46 @@ def test_contract_spellings_canonicalise_as_the_reference():
     for dim in DIMENSIONS:
         assert oracles.canonical_dimension(dim) == dim
     assert parse_fenced("```scores\ncognitive   LOAD[2]=3\n```", 4).scores == {2: {"CognitiveLoad": 3}}
+
+
+# --- differential: one heading pass against one search per heading --------------
+
+_NUMBERINGS = ["", "1.", "2)", "3 -", "4:", "five", "Six.", "Task One.", "Q3", "q 4)", "Block 2",
+               "section two)", "PART 5 -", "question six:", "12..", "seven"]
+
+
+@st.composite
+def headings(draw):
+    """A block heading as a judge might write it: any prefix and numbering,
+    any case, and any run of spaces, tabs or line breaks between its words."""
+    words = draw(st.sampled_from(BLOCKS)).heading.split()
+    gaps = draw(st.lists(st.sampled_from([" ", "  ", "\t", "\n", " \n  ", "\n\n"]),
+                         min_size=len(words) - 1, max_size=len(words) - 1))
+    name = words[0] + "".join(g + w for g, w in zip(gaps, words[1:]))
+    name = draw(st.sampled_from([str, str.lower, str.upper, str.title, str.swapcase]))(name)
+    lead = draw(st.sampled_from(["", "#", "## ", "**", "* ", "  ", "\n", "# **"]))
+    number = draw(st.sampled_from(_NUMBERINGS))
+    gap = draw(st.sampled_from(["", " ", "  ", "\n"]))
+    tail = draw(st.sampled_from(["", ":", ".", " :", "  ", ":  ", "**", "?", " \t"]))
+    return f"{lead}{number}{gap}{name}{tail}"
+
+
+body_lines = st.one_of(
+    st.sampled_from(["", "   ", ":", ".", "Translation 2 was clearer.", "1.", "##"]),
+    st.text(alphabet=st.characters(codec="utf-8", exclude_categories=["Cs"]), max_size=30),
+    fences)
+sections = st.builds(lambda heading, body: "\n".join([heading, *body]),
+                     headings(), st.lists(body_lines, max_size=3))
+# headings repeated, missing and in any order, or a mock judge's reply
+interviews = st.one_of(
+    st.lists(st.one_of(sections, sections, body_lines), min_size=1, max_size=10).map("\n".join),
+    st.integers(1, 1000).map(lambda seed: mock_judge_response(seed, PROMPT_K4)))
+
+
+@given(interviews)
+@example("1. Cognitive load\n\n\n2. Cognitive load\nsecond\n### Translation\npreference\nok")
+@example("Degree of understanding\nand points of confusion:\n\n\nConcept restatement and meaning "
+         "construction\n```scores\n3. Cognitive load\n```\nConfidence in understanding\nsure")
+@settings(max_examples=500)
+def test_segment_interview_matches_one_search_per_heading(text):
+    assert segment_interview(text) == oracles.segment_interview(text)

@@ -7,8 +7,8 @@ import pytest
 from blindeval.errors import StageError, ValidationError
 from blindeval.provider import TranscriptStore, mock_config
 from blindeval.scaffold import (Diagnosis, ScaffoldDeps, SessionStore, advance, finalize,
-                                record_diagnosis, render_stage_prompt, replay_prompts,
-                                request_baseline, start_session)
+                                record_diagnosis, render_stage_prompt, request_baseline,
+                                start_session)
 
 CASE2_ADJUSTED = ("Summer (Fire-Qi) ascends and thereby fuses the hardness of Autumn "
                   "(Metal-Qi). This is the dynamic balance of the conquest cycles.")
@@ -212,7 +212,8 @@ def test_session_replay_reproduces_prompts_byte_for_byte(corpus, deps):
     session = advance(session, "tighten the phrasing", case, deps)
 
     reloaded = deps.store.load(session.session_id)
-    assert replay_prompts(reloaded, case) == [t.prompt_text for t in reloaded.turns]
+    replayed = [render_stage_prompt(t.stage_at_send, case, t.supplement) for t in reloaded.turns]
+    assert replayed == [t.prompt_text for t in reloaded.turns]
 
 
 def test_store_round_trip_preserves_state(corpus, deps):

@@ -415,7 +415,7 @@ def test_dominance_fixture_battery():
     assert len(b_pairs) == 3
     for pair in b_pairs:
         assert pair.result.test_name.endswith("[exact]")
-        assert pair.significant(0.05)
+        assert pair.result.reported_p < 0.05
         # verify against the enumeration oracle
         x = 18 * [5]
         other = pair.slot_a if pair.slot_b == "b" else pair.slot_b
