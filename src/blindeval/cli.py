@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true")
     p.add_argument("--repeats", type=int, default=1)
 
-    p = sub.add_parser("parse", help="re-parse stored raw responses")
+    p = sub.add_parser("parse", help="re-judge stored transcripts")
     p.add_argument("--replay", required=True, metavar="KEY|all")
 
     p = sub.add_parser("stats", help="score table export and test battery")
@@ -327,12 +327,14 @@ def cmd_evaluate(run: RunDirectory, args) -> int:
 def cmd_parse(run: RunDirectory, args) -> int:
     plans = blinding.load_plans(run.path("blinding"))
     store = judge.RecordStore(run.path("records"))
-    if args.replay == "all":
-        records = store.load_all()
-    else:
-        records = [store.load(args.replay)]
-    for old in records:
-        new = judge.judge_reply(old, plans, old.raw_response, old.call_id)
+    transcripts = TranscriptStore(run.path("transcripts"))
+    records = store.load_all() if args.replay == "all" else [store.load(args.replay)]
+    # every record is re-judged before any is written, so an unreadable
+    # transcript or a missing plan leaves all of them as they were
+    renewed = [judge.judge_reply(old, plans, transcripts.load(old.call_id).response_text,
+                                 old.call_id)
+               for old in records]
+    for new in renewed:
         store.save(new)
         print(f"re-parsed {new.key()}: mode={new.parse_mode} complete={new.complete}")
     return 0

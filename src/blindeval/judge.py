@@ -60,10 +60,8 @@ class EvaluationRecord(GridCell):
     role_id: str
     model_id: str
     repeat_index: int
-    raw_response: str
     scores: dict[int, dict[str, int]]
-    interview: dict[str, str]
-    parse_mode: str               # fenced | prose_fallback | manual
+    parse_mode: str               # fenced | prose_fallback
     complete: bool
     warnings: tuple[str, ...]
     call_id: str
@@ -100,7 +98,7 @@ class JudgeContext:
     template: QuestionnaireTemplate
     providers: dict[str, ProviderConfig]
     records_dir: Path
-    transcripts: TranscriptStore | None = None
+    transcripts: TranscriptStore
     transports: dict[str, object] = field(default_factory=dict)  # model_id -> transport
 
 
@@ -158,9 +156,7 @@ def judge_reply(cell: GridCell, plans: dict[str, BlindPlan], raw_response: str,
         role_id=cell.role_id,
         model_id=cell.model_id,
         repeat_index=cell.repeat_index,
-        raw_response=raw_response,
         scores=parsed.scores,
-        interview=parsed.blocks,
         parse_mode=mode,
         complete=parsed.is_complete(k),
         warnings=tuple(parsed.warnings),

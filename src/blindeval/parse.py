@@ -22,7 +22,6 @@ class FencedBlockMissing(ParseError):
 @dataclass(frozen=True)
 class ParsedEvaluation:
     scores: dict[int, dict[str, int]]   # public label -> dimension -> 1..5
-    blocks: dict[str, str]              # block id -> verbatim interview text
     warnings: list[str] = field(default_factory=list)
 
     def is_complete(self, k: int) -> bool:
@@ -108,7 +107,7 @@ def parse_fenced(response_text: str, k: int) -> ParsedEvaluation:
     missing = 5 * k - sum(len(d) for d in scores.values())
     if missing > 0:
         warnings.append(f"{missing} of {5 * k} score cells missing from fenced block")
-    return ParsedEvaluation(scores=scores, blocks=segment_interview(response_text), warnings=warnings)
+    return ParsedEvaluation(scores=scores, warnings=warnings)
 
 
 _T_PAIR_RE = re.compile(r"\bT(?:ranslation)?\s*(\d+)\s*[=:]\s*([1-5])\b", re.IGNORECASE)
@@ -156,7 +155,7 @@ def parse_prose(response_text: str, k: int) -> ParsedEvaluation:
                 f"conflicting prose values for {dim}[{label}]: {sorted(values)}; cell dropped")
             continue
         scores.setdefault(label, {})[dim] = next(iter(values))
-    return ParsedEvaluation(scores=scores, blocks=segment_interview(response_text), warnings=warnings)
+    return ParsedEvaluation(scores=scores, warnings=warnings)
 
 
 def _offer(candidates, warnings, label: int, dim: str, value: int, k: int) -> None:
@@ -176,31 +175,26 @@ def parse_evaluation(response_text: str, k: int) -> tuple[ParsedEvaluation, str]
 
 # --- interview segmentation -----------------------------------------------------
 
-_WORD_NUMBERS = "one|two|three|four|five|six"
+def _heading_pattern(heading: str) -> re.Pattern:
+    words = r"\s+".join(re.escape(w) for w in heading.split())  # words may wrap across lines
+    return re.compile(
+        rf"(?im)^[#*\s]*(?:(?:block|section|task|part|question|q)\s*)?"
+        rf"(?:\d+|one|two|three|four|five|six)?\s*[.):\-]*\s*{words}\s*[:.]?\s*$")
 
 
-def _heading_words(heading: str) -> str:
-    return r"\s+".join(re.escape(w) for w in heading.split())  # words may wrap across lines
-
-
-# every block's heading, each in a group named after its block
-_HEADINGS = "|".join(f"(?P<{block.block_id}>{_heading_words(block.heading)})" for block in BLOCKS)
-_HEADING_RE = re.compile(
-    rf"(?im)^[#*\s]*(?:(?:block|section|task|part|question|q)\s*)?"
-    rf"(?:\d+|{_WORD_NUMBERS})?\s*[.):\-]*\s*(?:{_HEADINGS})\s*[:.]?\s*$")
+_BLOCK_PATTERNS = [(block.block_id, _heading_pattern(block.heading)) for block in BLOCKS]
 
 
 def segment_interview(response_text: str) -> dict[str, str]:
     """Split a response into the six questionnaire blocks.
 
     Keys on the block headings with fuzzy numbering (digits, number
-    words, or none); a repeated heading counts at its first occurrence.
-    Blocks a judge skipped are simply absent.
+    words, or none), one search each over the whole text; a repeated
+    heading counts at its first occurrence.  Blocks a judge skipped are
+    simply absent.  A record's interview is this split of its transcript.
     """
-    first: dict[str, tuple[int, int]] = {}
-    for m in _HEADING_RE.finditer(response_text):
-        first.setdefault(m.lastgroup, m.span())
-    found = [(start, end, block_id) for block_id, (start, end) in first.items()]
+    found = sorted((m.start(), m.end(), block_id) for block_id, pattern in _BLOCK_PATTERNS
+                   if (m := pattern.search(response_text)))
     fence = _FENCE_RE.search(response_text)
     tail = fence.start() if fence else len(response_text)
     blocks: dict[str, str] = {}

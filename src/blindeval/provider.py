@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import ProviderConfigError, TransportError
 from .persona import DIMENSIONS
 from .rng import Splitmix64, mix_seed
-from .store import write_json
+from .store import from_doc, read_json, write_json
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 
@@ -90,6 +90,10 @@ class TranscriptStore:
 
     def save(self, transcript: Transcript) -> Path:
         return write_json(self.path_for(transcript.call_id), transcript)
+
+    def load(self, call_id: str) -> Transcript:
+        path = self.path_for(call_id)
+        return from_doc(Transcript, read_json(path), path)
 
 
 def canonical_request(config: ProviderConfig, messages: list[dict[str, str]]) -> str:

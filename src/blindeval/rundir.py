@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import RunDirectoryError
 from .store import from_doc, read_json, write_json
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SUBDIRS = ("cases", "personas", "templates", "blinding", "sessions",
            "transcripts", "records", "report")
 MANIFEST_NAME = "manifest.json"
@@ -119,8 +119,8 @@ def snapshot(root: Path) -> dict[str, str]:
 
     JSON files are re-serialized canonically with volatile keys
     (timestamps, latencies) replaced; other files compare byte-for-byte,
-    decoded as UTF-8 with their line ends untouched.  An unreadable JSON
-    file raises RunDirectoryError naming it.
+    decoded as UTF-8 with their line ends untouched.  A file unreadable
+    this way raises RunDirectoryError naming it.
     """
     root = Path(root)
     out: dict[str, str] = {}
@@ -131,7 +131,10 @@ def snapshot(root: Path) -> dict[str, str]:
         if path.suffix == ".json":
             out[rel] = json.dumps(_scrub(read_json(path)), ensure_ascii=False, sort_keys=True)
         else:
-            out[rel] = path.read_bytes().decode("utf-8")
+            try:
+                out[rel] = path.read_bytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise RunDirectoryError(f"cannot read {path}: {exc}") from None
     return out
 
 

@@ -165,7 +165,7 @@ def table_from_records(
         if not rec.complete and not include_incomplete:
             continue
         case_id, role_id, model_id = rec.case_id, rec.role_id, rec.model_id
-        repeat = getattr(rec, "repeat_index", 0)
+        repeat = rec.repeat_index
         plan = plan_for(plans, case_id)
         for label, per_dim in rec.scores.items():
             candidate_id = unblind(plan, int(label))

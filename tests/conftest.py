@@ -29,15 +29,19 @@ def plans(corpus):
 
 def run_mock_grid(corpus, roles, plans, records_dir, seed=7, models=("gpt", "gemini"),
                   concurrency=2, transcripts_dir=None):
-    """In-memory mock grid run shared by several test modules."""
+    """Mock grid run shared by several test modules; its transcripts go to
+    ``transcripts_dir``, by default a sibling of ``records_dir``."""
+    records_dir = Path(records_dir)
+    if transcripts_dir is None:
+        transcripts_dir = records_dir.with_name(records_dir.name + "_transcripts")
     ctx = judge.JudgeContext(
         corpus=corpus,
         plans=plans,
         roles=roles,
         template=persona.default_template(),
         providers={m: provider.mock_config(m) for m in models},
-        records_dir=Path(records_dir),
-        transcripts=provider.TranscriptStore(Path(transcripts_dir)) if transcripts_dir else None,
+        records_dir=records_dir,
+        transcripts=provider.TranscriptStore(Path(transcripts_dir)),
         transports={m: provider.make_mock_transport(mix_seed(seed, "mock-provider", m))
                     for m in models},
     )

@@ -1,14 +1,13 @@
 """Independent oracles used to verify the statistics engine, the report,
-the run-directory writer, the prose parser and the interview segmenter.
+the run-directory writer and the prose parser.
 
 Deliberately built on different machinery than the engine: numpy/scipy
 ranking, brute-force enumeration, permutation resampling, the no-ties
 Spearman shortcut, full scans of the score table for every report
 aggregate, the concept block the golden questionnaire copy was written
-for, the two-step JSON writer (``to_doc`` then json's own pretty-printer),
-the score parser as it was before its lines were prefiltered and the
-interview segmenter with one search per heading.  Nothing here imports
-from blindeval.stats, blindeval.report or blindeval.store.
+for, the two-step JSON writer (``to_doc`` then json's own pretty-printer) and
+the score parser as it was before its lines were prefiltered.  Nothing
+here imports from blindeval.stats, blindeval.report or blindeval.store.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from scipy.stats import rankdata
 
 from blindeval.errors import ParseError
 from blindeval.parse import FencedBlockMissing, ParsedEvaluation
-from blindeval.persona import BLOCKS
 from blindeval.scoretable import CSV_COLUMNS, ScoreRow, ScoreTable
 
 #: Block-1 concept list of the canonical questionnaire, as the golden copy
@@ -307,7 +305,7 @@ def _parse_fenced(response_text: str, k: int) -> ParsedEvaluation:
     missing = 5 * k - sum(len(d) for d in scores.values())
     if missing > 0:
         warnings.append(f"{missing} of {5 * k} score cells missing from fenced block")
-    return ParsedEvaluation(scores=scores, blocks=segment_interview(response_text), warnings=warnings)
+    return ParsedEvaluation(scores=scores, warnings=warnings)
 
 
 def _parse_prose(response_text: str, k: int) -> ParsedEvaluation:
@@ -345,37 +343,5 @@ def _parse_prose(response_text: str, k: int) -> ParsedEvaluation:
                 f"conflicting prose values for {dim}[{label}]: {sorted(values)}; cell dropped")
             continue
         scores.setdefault(label, {})[dim] = next(iter(values))
-    return ParsedEvaluation(scores=scores, blocks=segment_interview(response_text), warnings=warnings)
+    return ParsedEvaluation(scores=scores, warnings=warnings)
 
-
-# --- interview segmentation, one search per block heading --------------------------
-
-_WORD_NUMBERS = "one|two|three|four|five|six"
-
-
-def _heading_pattern(heading: str) -> re.Pattern:
-    words = r"\s+".join(re.escape(w) for w in heading.split())
-    return re.compile(
-        rf"(?im)^[#*\s]*(?:(?:block|section|task|part|question|q)\s*)?"
-        rf"(?:\d+|{_WORD_NUMBERS})?\s*[.):\-]*\s*{words}\s*[:.]?\s*$")
-
-
-_BLOCK_PATTERNS = [(block.block_id, _heading_pattern(block.heading)) for block in BLOCKS]
-
-
-def segment_interview(response_text: str) -> dict[str, str]:
-    """``blindeval.parse.segment_interview`` with one search per heading, each
-    over the whole text, and the first match of each kept."""
-    found: list[tuple[int, int, str]] = []
-    for block_id, pattern in _BLOCK_PATTERNS:
-        m = pattern.search(response_text)
-        if m:
-            found.append((m.start(), m.end(), block_id))
-    found.sort()
-    fence = _FENCE_RE.search(response_text)
-    tail = fence.start() if fence else len(response_text)
-    blocks: dict[str, str] = {}
-    for idx, (start, end, block_id) in enumerate(found):
-        stop = found[idx + 1][0] if idx + 1 < len(found) else tail
-        blocks[block_id] = response_text[end:stop].strip("\n").strip()
-    return blocks

@@ -9,9 +9,10 @@ import sys
 
 import pytest
 
-from blindeval import cli
+from blindeval import blinding, cli, judge
 from blindeval.cli import main
 from blindeval.fixtures import demo_corpus
+from blindeval.provider import TranscriptStore
 from blindeval.rundir import RunDirectory, snapshot, trees_identical
 from blindeval.store import write_json
 
@@ -43,7 +44,7 @@ def _write_fixture_assets(run_dir):
 
 def test_init_creates_manifest_and_subdirs(run_dir):
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 1
+    assert manifest["schema_version"] == 2
     assert manifest["global_seed"] == 5
     for sub in ("cases", "blinding", "records", "report"):
         assert (run_dir / sub).is_dir()
@@ -215,7 +216,7 @@ def test_demo_runs_are_byte_identical_modulo_timestamps(tmp_path):
 
 #: sha256 of the normalised `demo --seed 7` tree; a change that means to
 #: change the demo's outputs updates it and says so.
-DEMO_SEED_7_DIGEST = "2741bc8981808cdf199197973d0ba3e74453fbdd3f01b13a3cca60e53db18351"
+DEMO_SEED_7_DIGEST = "6368c882322f461461ae3a6c0f58d90b1cd543b0a273088a960a93a88ed56145"
 
 
 def test_demo_tree_digest_is_pinned(tmp_path):
@@ -356,6 +357,47 @@ def test_unknown_case_is_a_single_line_error(full_run, tmp_path, capsys, argv):
     capsys.readouterr()
     assert main(["-C", str(target), *argv]) == 1
     _single_error_line(capsys, "unknown case 'nosuch'")
+
+
+def test_every_demo_record_is_its_transcript_rejudged(full_run):
+    plans = blinding.load_plans(full_run / "blinding")
+    transcripts = TranscriptStore(full_run / "transcripts")
+    records = judge.RecordStore(full_run / "records").load_all()
+    assert len(records) == 24
+    for record in records:
+        assert transcripts.path_for(record.call_id).is_file()
+        reply = transcripts.load(record.call_id).response_text
+        assert judge.judge_reply(record, plans, reply, record.call_id) == record
+
+
+def test_replay_all_leaves_the_demo_tree_unchanged(full_run, tmp_path):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    assert main(["-C", str(target), "parse", "--replay", "all"]) == 0
+    assert trees_identical(full_run, target) == (True, [])
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated"])
+def test_replay_with_an_unreadable_transcript_rewrites_no_record(full_run, tmp_path, capsys,
+                                                                 damage):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    # the first record in replay order reads differently once re-judged
+    first = target / "records" / "case1_R1_gemini.json"
+    write_json(first, {**json.loads(first.read_text(encoding="utf-8")),
+                       "scores": {}, "complete": False})
+    # the last one's transcript cannot be read
+    last = json.loads((target / "records" / "case4_R3_gpt.json").read_text(encoding="utf-8"))
+    transcript = target / "transcripts" / f"{last['call_id']}.json"
+    if damage == "missing":
+        transcript.unlink()
+    else:
+        transcript.write_bytes(transcript.read_bytes()[:40])
+    records = {p.name: p.read_bytes() for p in (target / "records").iterdir()}
+    capsys.readouterr()
+    assert main(["-C", str(target), "parse", "--replay", "all"]) == 1
+    _single_error_line(capsys, "error: RunDirectoryError", transcript.name)
+    assert {p.name: p.read_bytes() for p in (target / "records").iterdir()} == records
 
 
 def test_replay_without_blind_plan_is_a_single_line_error(full_run, tmp_path, capsys):

@@ -89,6 +89,7 @@ def test_failing_provider_isolated(corpus, roles, plans, tmp_path):
             provider_id=m, endpoint="mock://", model=m, credential_env="",
             max_retries=0, backoff_base=0.0) for m in ("gpt", "gemini")},
         records_dir=tmp_path / "records",
+        transcripts=provider.TranscriptStore(tmp_path / "transcripts"),
         transports={"gpt": broken_gpt, "gemini": transports["gemini"]},
     )
     (tmp_path / "records").mkdir()
@@ -153,6 +154,7 @@ def test_repeats_carry_repeat_index(corpus, roles, plans, tmp_path):
         template=persona.default_template(),
         providers={"gpt": provider.mock_config("gpt")},
         records_dir=tmp_path / "records",
+        transcripts=provider.TranscriptStore(tmp_path / "transcripts"),
         transports={"gpt": provider.make_mock_transport(3)},
     )
     (tmp_path / "records").mkdir()

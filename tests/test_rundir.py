@@ -28,3 +28,11 @@ def test_truncated_record_in_a_compared_tree_is_named(tmp_path):
     record.write_bytes(record.read_bytes()[:12])
     with pytest.raises(RunDirectoryError, match="case1_R1_gpt_r1.json"):
         trees_identical(a, b)
+
+
+def test_non_utf8_text_file_in_a_compared_tree_is_named(tmp_path):
+    a = make_tree(tmp_path / "a", b"a,b\n")
+    b = make_tree(tmp_path / "b", b"a,b\n")
+    (b / "n.txt").write_bytes(b"\xff\n")
+    with pytest.raises(RunDirectoryError, match="n.txt"):
+        trees_identical(a, b)

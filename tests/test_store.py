@@ -20,9 +20,8 @@ from oracles import canonical_json, to_doc
 
 def make_record(**overrides):
     fields = dict(case_id="case1", role_id="R1", model_id="gpt", repeat_index=0,
-                  raw_response="reply", scores={2: {"Clarity": 4}, 1: {"Clarity": 3}},
-                  interview={"b": "2", "a": "1"}, parse_mode="fenced", complete=True,
-                  warnings=("w",), call_id="gpt-0123")
+                  scores={2: {"Clarity": 4}, 1: {"Clarity": 3}}, parse_mode="fenced",
+                  complete=True, warnings=("w",), call_id="gpt-0123")
     fields.update(overrides)
     return EvaluationRecord(**fields)
 
@@ -65,7 +64,7 @@ def test_unreadable_files_raise_run_directory_error_naming_them(tmp_path):
 
 
 def test_crlf_document_reads_as_the_lf_one(tmp_path):
-    doc = to_doc(make_record(raw_response="line 1\nline 2"))
+    doc = to_doc(make_record(warnings=("line 1\nline 2",)))
     (tmp_path / "crlf.json").write_bytes(store.dumps(doc).replace("\n", "\r\n").encode("utf-8"))
     assert b"\r\n" in (tmp_path / "crlf.json").read_bytes()
     assert read_json(tmp_path / "crlf.json") == read_json(write_json(tmp_path / "lf.json", doc))
@@ -108,16 +107,25 @@ def test_from_doc_names_the_key_or_index_at_fault():
         from_doc(ScaffoldSession, session)
 
 
+@dataclass(frozen=True)
+class Containers:
+    """A container of each kind of leaf that run-directory documents hold."""
+    scores: dict[int, dict[str, int]]
+    interview: dict[str, str]
+    warnings: tuple[str, ...]
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("scores", {"1": {"Clarity": True}}, r"scores\[1\]\[Clarity\]: expected int, got bool"),
     ("interview", {"a": "1", "b": 2}, r"interview\[b\]: expected str, got int"),
     ("warnings", ["w", 3], r"warnings\[1\]: expected str, got int"),
 ])
 def test_containers_of_leaves_keep_exact_types_and_locate_faults(field, value, message):
-    doc = to_doc(make_record())
+    doc = {"scores": {"1": {"Clarity": 3}}, "interview": {"a": "1"}, "warnings": ["w"]}
+    assert from_doc(Containers, doc) == Containers({1: {"Clarity": 3}}, {"a": "1"}, ("w",))
     doc[field] = value
-    with pytest.raises(ValidationError, match=rf"^r\.json: EvaluationRecord\.{message}$"):
-        from_doc(EvaluationRecord, doc, "r.json")
+    with pytest.raises(ValidationError, match=rf"^r\.json: Containers\.{message}$"):
+        from_doc(Containers, doc, "r.json")
 
 
 def test_float_container_keeps_integral_numbers_as_written():
@@ -229,8 +237,8 @@ texts = st.text(max_size=20)
 finite = st.floats(allow_nan=False)
 records = st.builds(
     EvaluationRecord, case_id=texts, role_id=texts, model_id=texts, repeat_index=st.integers(),
-    raw_response=st.text(), scores=st.dictionaries(st.integers(), st.dictionaries(texts, st.integers())),
-    interview=st.dictionaries(texts, texts), parse_mode=texts, complete=st.booleans(),
+    scores=st.dictionaries(st.integers(), st.dictionaries(texts, st.integers())),
+    parse_mode=texts, complete=st.booleans(),
     warnings=st.lists(texts).map(tuple), call_id=texts)
 transcripts = st.builds(Transcript, call_id=texts, provider_id=texts, request_digest=texts,
                         request_text=st.text(), response_text=st.text(), latency_s=finite,
