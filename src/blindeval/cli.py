@@ -161,18 +161,16 @@ def cmd_case(run: RunDirectory, args) -> int:
             for c in corpus:
                 print(f"{c.id}\t{len(c.candidates)} candidates\t{c.title}")
         return 0
-    if args.case_command == "show":
-        case = corpus.get(args.case_id)
-        if args.json:
-            print(dumps(case), end="")
-        else:
-            print(f"{case.id}: {case.title}")
-            print(f"source: {case.source_text}")
-            print(f"context: {case.context_note}")
-            for cand in case.candidates:
-                print(f"  - {cand.id} [{cand.origin}] {cand.translator_label}")
-        return 0
-    raise ValidationError(f"unknown case subcommand {args.case_command!r}")
+    case = corpus.get(args.case_id)  # show
+    if args.json:
+        print(dumps(case), end="")
+    else:
+        print(f"{case.id}: {case.title}")
+        print(f"source: {case.source_text}")
+        print(f"context: {case.context_note}")
+        for cand in case.candidates:
+            print(f"  - {cand.id} [{cand.origin}] {cand.translator_label}")
+    return 0
 
 
 def cmd_blind(run: RunDirectory, args) -> int:
@@ -198,7 +196,8 @@ def cmd_blind(run: RunDirectory, args) -> int:
     return 0
 
 
-def _scaffold_deps(run: RunDirectory, model: str, mock: bool) -> scaffold.ScaffoldDeps:
+def _scaffold_deps(run: RunDirectory, store: scaffold.SessionStore, model: str,
+                   mock: bool) -> scaffold.ScaffoldDeps:
     if mock:
         config = mock_config(model)
         transport = make_scaffold_mock_transport(mix_seed(run.global_seed, "mock-scaffold", model))
@@ -207,7 +206,7 @@ def _scaffold_deps(run: RunDirectory, model: str, mock: bool) -> scaffold.Scaffo
         transport = None
     return scaffold.ScaffoldDeps(
         provider=config,
-        store=scaffold.SessionStore(run.path("sessions")),
+        store=store,
         transcripts=TranscriptStore(run.path("transcripts")),
         transport=transport,
     )
@@ -218,7 +217,7 @@ def cmd_scaffold(run: RunDirectory, args) -> int:
     store = scaffold.SessionStore(run.path("sessions"))
     if args.scaffold_command == "start":
         case = corpus.get(args.case_id)
-        deps = _scaffold_deps(run, args.model, args.mock)
+        deps = _scaffold_deps(run, store, args.model, args.mock)
         session = scaffold.start_session(case, deps)
         session = scaffold.request_baseline(session, case, deps)
         print(f"session {session.session_id} at stage {session.stage} "
@@ -227,34 +226,29 @@ def cmd_scaffold(run: RunDirectory, args) -> int:
 
     session = store.load(args.session)
     case = corpus.get(session.case_id)
-    model = session.translation_model.split("/", 1)[0]
     if args.scaffold_command == "diagnose":
         modes = frozenset(m for m in args.modes.split(",") if m)
         diagnosis = scaffold.Diagnosis(
             adequate_rationale=args.adequate, failure_modes=modes, notes=args.notes)
-        deps = _scaffold_deps(run, model, mock=True)  # no model call in this step
-        session = scaffold.record_diagnosis(session, diagnosis, deps)
+        session = scaffold.record_diagnosis(session, diagnosis, store)
         print(f"session {session.session_id} routed to stage {session.stage}")
         return 0
     if args.scaffold_command == "advance":
         supplement = args.supplement
         if args.supplement_file:
             supplement = read_text(args.supplement_file)
-        deps = _scaffold_deps(run, model, args.mock)
+        model = session.translation_model.split("/", 1)[0]
+        deps = _scaffold_deps(run, store, model, args.mock)
         session = scaffold.advance(session, supplement, case, deps, hold=args.hold)
         print(f"session {session.session_id} at stage {session.stage} "
               f"({len(session.turns)} turn(s))")
         return 0
-    if args.scaffold_command == "finalize":
-        text = args.text
-        if args.text_file:
-            text = read_text(args.text_file)
-        deps = _scaffold_deps(run, model, mock=True)  # no model call in this step
-        session = scaffold.finalize(session, text, case, corpus, deps,
-                                    cases_dir=run.path("cases"))
-        print(f"session {session.session_id} finalized; adjusted candidate registered")
-        return 0
-    raise ValidationError(f"unknown scaffold subcommand {args.scaffold_command!r}")
+    text = args.text  # finalize
+    if args.text_file:
+        text = read_text(args.text_file)
+    session = scaffold.finalize(session, text, case, store, run.path("cases"))
+    print(f"session {session.session_id} finalized; adjusted candidate registered")
+    return 0
 
 
 def resolve_provider(run: RunDirectory, model_id: str) -> ProviderConfig:
@@ -373,29 +367,25 @@ def cmd_stats(run: RunDirectory, args) -> int:
         path = save_table_csv(table, run.path("report") / "scores.csv")
         print(f"wrote {path} ({len(table)} rows)")
         return 0
-    if args.stats_command == "run":
-        table, _, _ = _build_table(run, include_incomplete=args.include_incomplete)
-        blocking = tuple(b for b in args.blocking.split(",") if b)
-        cross_model = None
-        if len(table.model_ids()) == 2:
-            cross_model = stats.cross_model_agreement(table)
-        cross_role = {}
-        for model_id in table.model_ids():
-            if len({r.role_id for r in table if r.model_id == model_id}) >= 2:
-                cross_role[model_id] = stats.cross_role_agreement(table, model_id)
-        battery = stats.version_difference_battery(table, blocking)
-        text = report.results_text(cross_model, cross_role, battery)
-        path = write_text(run.path("report") / "results.txt", text)
-        print(f"wrote {path}")
-        print(text, end="")
-        return 0
-    raise ValidationError(f"unknown stats subcommand {args.stats_command!r}")
+    table, _, _ = _build_table(run, include_incomplete=args.include_incomplete)  # run
+    blocking = tuple(b for b in args.blocking.split(",") if b)
+    cross_model = None
+    if len(table.model_ids()) == 2:
+        cross_model = stats.cross_model_agreement(table)
+    cross_role = {}
+    for model_id in table.model_ids():
+        if len({r.role_id for r in table if r.model_id == model_id}) >= 2:
+            cross_role[model_id] = stats.cross_role_agreement(table, model_id)
+    battery = stats.version_difference_battery(table, blocking)
+    text = report.results_text(cross_model, cross_role, battery)
+    path = write_text(run.path("report") / "results.txt", text)
+    print(f"wrote {path}")
+    print(text, end="")
+    return 0
 
 
 @_no_cyclic_gc()
 def cmd_report(run: RunDirectory, args) -> int:
-    if args.report_command != "build":
-        raise ValidationError(f"unknown report subcommand {args.report_command!r}")
     table, corpus, plans = _build_table(run)
     written = report.build_report(run.path("report"), table, corpus, plans)
     for path in written:

@@ -251,7 +251,7 @@ def run_grid(
         else:
             to_run.append(job)
 
-    caps = {m: max(1, ctx.providers[m].max_concurrent) for m in sorted({j.model_id for j in jobs})}
+    caps = {m: ctx.providers[m].max_concurrent for m in sorted({j.model_id for j in jobs})}
     workers = min(concurrency_limit, sum(caps.values()), len(to_run))
     if on_dispatch is not None:
         on_dispatch(workers, caps)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import ProviderConfigError, TransportError
+from .errors import ProviderConfigError, TransportError, ValidationError
 from .persona import DIMENSIONS
 from .rng import Splitmix64, mix_seed
 from .store import from_doc, read_json, write_json
@@ -42,6 +42,12 @@ class ProviderConfig:
         # providers.json may write the temperature as 0 or 0.0; both are one
         # setting, sent and transcripted as a float
         object.__setattr__(self, "temperature", float(self.temperature))
+        if self.max_retries < 0:
+            raise ValidationError(f"provider {self.provider_id!r}: max_retries must be >= 0, "
+                                  f"got {self.max_retries}")
+        if self.max_concurrent < 1:
+            raise ValidationError(f"provider {self.provider_id!r}: max_concurrent must be >= 1, "
+                                  f"got {self.max_concurrent}")
 
     def credential_variable(self) -> str:
         if self.credential_env is None:
@@ -60,6 +66,11 @@ class Transcript:
     attempts: int
     timestamp: str
     temperature: float
+
+    def conversation(self) -> list[dict[str, str]]:
+        """The messages this call sent, then its reply as an assistant message."""
+        sent = json.loads(self.request_text)["messages"]
+        return [*sent, {"role": "assistant", "content": self.response_text}]
 
 
 class TranscriptStore:
@@ -119,14 +130,14 @@ def http_transport(config: ProviderConfig, request_text: str, api_key: str | Non
 def complete(
     config: ProviderConfig,
     messages: list[dict[str, str]],
+    store: TranscriptStore,
     transport=None,
-    store: TranscriptStore | None = None,
     sleep=time.sleep,
 ) -> tuple[str, Transcript]:
     """Send a chat completion, retrying 429/5xx with exponential backoff.
 
     The response content is returned verbatim.  The transcript is written
-    (when a store is given) before the response is handed back.
+    to ``store`` before the response is handed back.
     """
     if not messages:
         raise ProviderConfigError("messages must be non-empty")
@@ -145,8 +156,7 @@ def complete(
 
     start = time.monotonic()
     attempts = 0
-    status, body = None, ""
-    while attempts <= config.max_retries:
+    while True:
         attempts += 1
         status, body = transport(config, request_text, api_key)
         if status == 200:
@@ -158,10 +168,6 @@ def complete(
                 f"after {attempts} attempt(s): {body[:200]}",
                 status=status, attempts=attempts)
         sleep(config.backoff_base * 2 ** (attempts - 1))
-    if status != 200:
-        raise TransportError(
-            f"provider {config.provider_id!r} exhausted {attempts} attempt(s); last status {status}",
-            status=status, attempts=attempts)
 
     try:
         content = json.loads(body)["choices"][0]["message"]["content"]
@@ -171,10 +177,8 @@ def complete(
             status=status, attempts=attempts)
 
     latency = time.monotonic() - start
-    call_id = (store.assign_call_id(config.provider_id, digest)
-               if store else f"{config.provider_id}-{digest[:16]}")
     transcript = Transcript(
-        call_id=call_id,
+        call_id=store.assign_call_id(config.provider_id, digest),
         provider_id=config.provider_id,
         request_digest=digest,
         request_text=request_text,
@@ -184,8 +188,7 @@ def complete(
         timestamp=datetime.now(timezone.utc).isoformat(),
         temperature=config.temperature,
     )
-    if store:
-        store.save(transcript)
+    store.save(transcript)
     return content, transcript
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import RunDirectoryError
 from .store import from_doc, read_json, write_json
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 SUBDIRS = ("cases", "personas", "templates", "blinding", "sessions",
            "transcripts", "records", "report")
 MANIFEST_NAME = "manifest.json"

@@ -2,17 +2,20 @@
 
 The human expert drives: they diagnose the baseline, choose what
 material to inject, and decide when to advance.  The harness only
-templates the stage prompts, sends them, and logs every turn, so a
-session can be replayed byte-for-byte from its stored inputs.
+templates the stage prompts, sends each one after the conversation so
+far, and logs every turn.  A turn stores its stage and supplement and
+names its transcript by ``call_id``; the prompt, the reply and the time
+live only in that transcript.  Replaying a session means re-rendering
+each turn's prompt from its stage and supplement and comparing it with
+the last user message its transcript sent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import ORIGIN_ADJUSTED, Corpus, SourceCase, TranslationCandidate, save_case
+from .corpus import ORIGIN_ADJUSTED, SourceCase, TranslationCandidate, save_case
 from .errors import StageError, ValidationError
 from .provider import ProviderConfig, TranscriptStore, complete
 from .store import from_doc, read_json, write_json
@@ -54,10 +57,7 @@ class Diagnosis:
 @dataclass
 class Turn:
     stage_at_send: str
-    prompt_text: str
-    response_text: str
-    timestamp: str
-    provider_call_id: str
+    call_id: str           # names the transcript of the prompt and its reply
     supplement: str = ""   # stored so the prompt can be re-rendered on replay
 
 
@@ -131,53 +131,35 @@ def render_stage_prompt(stage: str, case: SourceCase, supplement: str = "") -> s
 # --- session store ----------------------------------------------------------------
 
 class SessionStore:
-    """sessions/<id>/ holds session.json plus one transcript file per turn."""
+    """sessions/<id>.json holds each session, one document per session."""
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
+    def path_for(self, session_id: str) -> Path:
+        return self.directory / f"{session_id}.json"
+
     def new_session_id(self, case_id: str, model: str) -> str:
         n = 1
-        while (self.directory / f"{case_id}-{model}-{n:02d}").exists():
+        while self.path_for(f"{case_id}-{model}-{n:02d}").exists():
             n += 1
         return f"{case_id}-{model}-{n:02d}"
 
     def save(self, session: ScaffoldSession) -> Path:
-        root = self.directory / session.session_id
-        root.mkdir(parents=True, exist_ok=True)
-        doc = {f.name: getattr(session, f.name) for f in fields(session) if f.name != "turns"}
-        write_json(root / "session.json", {**doc, "turn_count": len(session.turns)})
-        for idx, turn in enumerate(session.turns, start=1):
-            path = root / f"turn-{idx:03d}.json"
-            if not path.exists():  # turns are append-only
-                write_json(path, turn)
-        return root
+        return write_json(self.path_for(session.session_id), session)
 
     def load(self, session_id: str) -> ScaffoldSession:
-        root = self.directory / session_id
-        path = root / "session.json"
-        doc = from_doc(dict, read_json(path), path)
-        turn_count = from_doc(int, doc.pop("turn_count", None), f"{path}: turn_count")
-        session = from_doc(ScaffoldSession, doc, path)
-        for idx in range(1, turn_count + 1):
-            turn_path = root / f"turn-{idx:03d}.json"
-            session.turns.append(from_doc(Turn, read_json(turn_path), turn_path))
-        return session
+        path = self.path_for(session_id)
+        return from_doc(ScaffoldSession, read_json(path), path)
 
 
 @dataclass
 class ScaffoldDeps:
     provider: ProviderConfig
     store: SessionStore
-    transcripts: TranscriptStore | None = None
+    transcripts: TranscriptStore
     transport: object = None
-
-    def call(self, prompt: str) -> tuple[str, str]:
-        text, transcript = complete(
-            self.provider, [{"role": "user", "content": prompt}],
-            transport=self.transport, store=self.transcripts)
-        return text, transcript.call_id
 
 
 # --- operations --------------------------------------------------------------------
@@ -196,21 +178,14 @@ def start_session(case: SourceCase, deps: ScaffoldDeps) -> ScaffoldSession:
 def request_baseline(session: ScaffoldSession, case: SourceCase, deps: ScaffoldDeps) -> ScaffoldSession:
     """Send the baseline translate-and-explain prompt; moves to Diagnose."""
     session.require_stage(STAGE_BASELINE)
-    prompt = render_stage_prompt(STAGE_BASELINE, case)
-    response, call_id = deps.call(prompt)
-    session.turns.append(Turn(
-        stage_at_send=STAGE_BASELINE,
-        prompt_text=prompt,
-        response_text=response,
-        timestamp=_now(),
-        provider_call_id=call_id,
-    ))
+    _send_turn(session, case, "", deps)
     session.stage = STAGE_DIAGNOSE
     deps.store.save(session)
     return session
 
 
-def record_diagnosis(session: ScaffoldSession, diagnosis: Diagnosis, deps: ScaffoldDeps) -> ScaffoldSession:
+def record_diagnosis(session: ScaffoldSession, diagnosis: Diagnosis,
+                     store: SessionStore) -> ScaffoldSession:
     """Attach the human diagnosis; routes the session to its next stage."""
     session.require_stage(STAGE_DIAGNOSE)
     if not any(t.stage_at_send == STAGE_BASELINE for t in session.turns):
@@ -218,7 +193,7 @@ def record_diagnosis(session: ScaffoldSession, diagnosis: Diagnosis, deps: Scaff
     session.diagnosis = diagnosis
     session.pending_stages = diagnosis.stage_queue()
     session.stage = session.pending_stages.pop(0)
-    deps.store.save(session)
+    store.save(session)
     return session
 
 
@@ -233,16 +208,7 @@ def advance(session: ScaffoldSession, supplement: str, case: SourceCase,
     session.require_stage(STAGE_INJECT, STAGE_FIGURES, STAGE_POLISH)
     if session.stage in (STAGE_INJECT, STAGE_FIGURES) and not supplement.strip():
         raise ValidationError(f"stage {session.stage} requires a non-empty supplement")
-    prompt = render_stage_prompt(session.stage, case, supplement)
-    response, call_id = deps.call(prompt)
-    session.turns.append(Turn(
-        stage_at_send=session.stage,
-        prompt_text=prompt,
-        response_text=response,
-        timestamp=_now(),
-        provider_call_id=call_id,
-        supplement=supplement,
-    ))
+    _send_turn(session, case, supplement, deps)
     if not hold and session.stage != STAGE_POLISH and session.pending_stages:
         session.stage = session.pending_stages.pop(0)
     deps.store.save(session)
@@ -250,7 +216,7 @@ def advance(session: ScaffoldSession, supplement: str, case: SourceCase,
 
 
 def finalize(session: ScaffoldSession, chosen_text: str, case: SourceCase,
-             corpus: Corpus, deps: ScaffoldDeps, cases_dir: Path | None = None) -> ScaffoldSession:
+             store: SessionStore, cases_dir: Path) -> ScaffoldSession:
     """Freeze the session and register chosen_text as the adjusted candidate."""
     if session.stage == STAGE_FINALIZED:
         raise StageError(f"session {session.session_id!r} is already finalized")
@@ -270,14 +236,23 @@ def finalize(session: ScaffoldSession, chosen_text: str, case: SourceCase,
             translator_label=session.translation_model,
             text=chosen_text,
         ))
-    if cases_dir is not None:
-        save_case(case, cases_dir)
+    save_case(case, cases_dir)
 
     session.final_text = chosen_text
     session.stage = STAGE_FINALIZED
-    deps.store.save(session)
+    store.save(session)
     return session
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _send_turn(session: ScaffoldSession, case: SourceCase, supplement: str,
+               deps: ScaffoldDeps) -> None:
+    """Send the current stage's prompt after the conversation so far (the
+    previous turn's request and reply) and append the turn naming its
+    transcript."""
+    history = []
+    if session.turns:
+        history = deps.transcripts.load(session.turns[-1].call_id).conversation()
+    prompt = render_stage_prompt(session.stage, case, supplement)
+    _, transcript = complete(deps.provider, [*history, {"role": "user", "content": prompt}],
+                             deps.transcripts, transport=deps.transport)
+    session.turns.append(Turn(session.stage, transcript.call_id, supplement))

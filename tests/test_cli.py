@@ -11,9 +11,11 @@ import pytest
 
 from blindeval import blinding, cli, judge
 from blindeval.cli import main
+from blindeval.corpus import load_corpus
 from blindeval.fixtures import demo_corpus
 from blindeval.provider import TranscriptStore
 from blindeval.rundir import RunDirectory, snapshot, trees_identical
+from blindeval.scaffold import SessionStore, render_stage_prompt
 from blindeval.store import write_json
 
 
@@ -44,7 +46,7 @@ def _write_fixture_assets(run_dir):
 
 def test_init_creates_manifest_and_subdirs(run_dir):
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["schema_version"] == 2
+    assert manifest["schema_version"] == 3
     assert manifest["global_seed"] == 5
     for sub in ("cases", "blinding", "records", "report"):
         assert (run_dir / sub).is_dir()
@@ -216,7 +218,7 @@ def test_demo_runs_are_byte_identical_modulo_timestamps(tmp_path):
 
 #: sha256 of the normalised `demo --seed 7` tree; a change that means to
 #: change the demo's outputs updates it and says so.
-DEMO_SEED_7_DIGEST = "6368c882322f461461ae3a6c0f58d90b1cd543b0a273088a960a93a88ed56145"
+DEMO_SEED_7_DIGEST = "081fe793090754373fdd8070fedb9ca6e39a833d7437fdee605e589dacf6f955"
 
 
 def test_demo_tree_digest_is_pinned(tmp_path):
@@ -290,8 +292,8 @@ def _single_error_line(capsys, *names):
     ("blinding/case1.json", ["report", "build"]),
     ("records/case1_R1_gpt.json", ["stats", "run"]),
     ("records/case1_R1_gpt.json", ["evaluate", "--models", "gpt", "--mock", "--resume"]),
-    ("sessions/case1-deepseek-01/session.json", ["scaffold", "diagnose", "--adequate",
-                                                 "--session", "case1-deepseek-01"]),
+    ("sessions/case1-deepseek-01.json", ["scaffold", "diagnose", "--adequate",
+                                         "--session", "case1-deepseek-01"]),
 ])
 def test_truncated_file_is_a_single_line_error(full_run, tmp_path, capsys, relpath, argv):
     target = tmp_path / "run"
@@ -311,6 +313,19 @@ def test_unknown_provider_key_is_a_single_line_error(full_run, tmp_path, capsys)
     capsys.readouterr()
     assert main(["-C", str(target), "evaluate", "--models", "acme", "--roles", "R1"]) == 1
     _single_error_line(capsys, "providers.json", "temprature")
+
+
+@pytest.mark.parametrize("key, value", [("max_retries", -1), ("max_concurrent", 0)])
+def test_out_of_range_provider_setting_is_a_single_line_error(full_run, tmp_path, capsys,
+                                                               key, value):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    (target / "providers.json").write_text(json.dumps(
+        {"acme": {"endpoint": "http://localhost:1", "model": "m", key: value}}))
+    capsys.readouterr()
+    assert main(["-C", str(target), "evaluate", "--models", "acme", "--roles", "R1"]) == 1
+    _single_error_line(capsys, "error: ValidationError", "providers.json", key)
+    assert not any((target / "transcripts").glob("acme-*"))
 
 
 def test_case_add_of_non_json_file_is_a_single_line_error(run_dir, tmp_path, capsys):
@@ -488,3 +503,37 @@ def test_every_demo_file_is_utf8_with_lf_line_ends(full_run):
     for path in paths:
         text = path.read_bytes().decode("utf-8")
         assert "\r" not in text and text.endswith("\n"), path
+
+
+def test_a_mock_session_is_one_file_whose_turns_name_their_transcripts(run_dir, tmp_path):
+    _add_demo_cases(run_dir, tmp_path)
+    transcripts = TranscriptStore(run_dir / "transcripts")
+
+    def scaffold(*argv):
+        assert main(["-C", str(run_dir), "scaffold", *argv]) == 0
+        return sorted(p.name for p in transcripts.directory.iterdir())
+
+    session = ["--session", "case1-deepseek-01"]
+    scaffold("start", "--case", "case1", "--model", "deepseek", "--mock")
+    sent = scaffold("diagnose", *session, "--modes", "knowledge_gap")
+    assert len(sent) == 1  # diagnose makes no call
+    scaffold("advance", *session, "--supplement", "x", "--mock")
+    sent = scaffold("advance", *session, "--mock")
+    assert scaffold("finalize", *session, "--text", "T") == sent  # nor does finalize
+
+    path = run_dir / "sessions" / "case1-deepseek-01.json"
+    assert list(path.parent.iterdir()) == [path]
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert "turn_count" not in doc
+    assert [set(turn) for turn in doc["turns"]] == [{"stage_at_send", "call_id", "supplement"}] * 3
+    case = load_corpus(run_dir / "cases").get("case1")
+    turns = SessionStore(path.parent).load("case1-deepseek-01").turns
+    assert [t.stage_at_send for t in turns] == ["Baseline", "InjectKnowledge", "Polish"]
+    assert sorted(f"{t.call_id}.json" for t in turns) == sent
+    for turn in turns:
+        transcript = transcripts.load(turn.call_id)
+        assert json.loads(transcript.request_text)["messages"][-1] == {
+            "role": "user",
+            "content": render_stage_prompt(turn.stage_at_send, case, turn.supplement)}
+        assert transcript.response_text not in path.read_text(encoding="utf-8")
+    assert [c.text for c in case.candidates if c.origin == "llm_adjusted"] == ["T"]

@@ -35,12 +35,12 @@ def test_mock_transport_is_deterministic(tmp_path):
     messages = [{"role": "user", "content": PROMPT_K4}]
     text1, t1 = complete(config, messages, transport=transport, store=store)
     transport2 = make_mock_transport(seed=7)
-    text2, t2 = complete(config, messages, transport=transport2)
+    text2, t2 = complete(config, messages, transport=transport2, store=store)
     assert text1 == text2
     assert t1.request_digest == t2.request_digest
 
 
-def test_retry_429_then_200_succeeds_with_two_attempts():
+def test_retry_429_then_200_succeeds_with_two_attempts(tmp_path):
     calls = []
 
     def flaky(config, request_text, api_key):
@@ -52,13 +52,14 @@ def test_retry_429_then_200_succeeds_with_two_attempts():
     config = mock_config("gpt")
     slept = []
     text, transcript = complete(config, [{"role": "user", "content": "x"}],
-                                transport=flaky, sleep=slept.append)
+                                transport=flaky, store=TranscriptStore(tmp_path),
+                                sleep=slept.append)
     assert text == "fine"
     assert transcript.attempts == 2
     assert len(slept) == 1
 
 
-def test_exhausted_retries_carry_last_status():
+def test_exhausted_retries_carry_last_status(tmp_path):
     def always_500(config, request_text, api_key):
         return 500, "boom"
 
@@ -66,12 +67,12 @@ def test_exhausted_retries_carry_last_status():
                             credential_env="", max_retries=2, backoff_base=0.0)
     with pytest.raises(TransportError) as excinfo:
         complete(config, [{"role": "user", "content": "x"}],
-                 transport=always_500, sleep=lambda s: None)
+                 transport=always_500, store=TranscriptStore(tmp_path), sleep=lambda s: None)
     assert excinfo.value.status == 500
     assert excinfo.value.attempts == 3  # first try + 2 retries
 
 
-def test_non_retryable_status_fails_immediately():
+def test_non_retryable_status_fails_immediately(tmp_path):
     calls = []
 
     def forbidden(config, request_text, api_key):
@@ -80,20 +81,23 @@ def test_non_retryable_status_fails_immediately():
 
     config = mock_config("p")
     with pytest.raises(TransportError):
-        complete(config, [{"role": "user", "content": "x"}], transport=forbidden)
+        complete(config, [{"role": "user", "content": "x"}], transport=forbidden,
+                 store=TranscriptStore(tmp_path))
     assert len(calls) == 1
 
 
-def test_missing_credential_names_the_variable(monkeypatch):
+def test_missing_credential_names_the_variable(monkeypatch, tmp_path):
     monkeypatch.delenv("ACME_API_KEY", raising=False)
     config = ProviderConfig(provider_id="acme", endpoint="none", model="m")
     with pytest.raises(ProviderConfigError, match="ACME_API_KEY"):
-        complete(config, [{"role": "user", "content": "x"}], transport=lambda *a: (200, _ok_body()))
+        complete(config, [{"role": "user", "content": "x"}], transport=lambda *a: (200, _ok_body()),
+                 store=TranscriptStore(tmp_path))
 
 
-def test_empty_messages_rejected():
+def test_empty_messages_rejected(tmp_path):
     with pytest.raises(ProviderConfigError):
-        complete(mock_config("p"), [], transport=lambda *a: (200, _ok_body()))
+        complete(mock_config("p"), [], transport=lambda *a: (200, _ok_body()),
+                 store=TranscriptStore(tmp_path))
 
 
 def test_transcript_persisted_before_return(tmp_path):
@@ -133,10 +137,10 @@ def test_integral_temperature_sends_the_same_request(tmp_path):
     assert json.loads(on_disk["request_text"])["temperature"] == on_disk["temperature"]
 
 
-def test_malformed_body_is_a_transport_error():
+def test_malformed_body_is_a_transport_error(tmp_path):
     with pytest.raises(TransportError, match="malformed"):
         complete(mock_config("p"), [{"role": "user", "content": "x"}],
-                 transport=lambda *a: (200, "not json"))
+                 transport=lambda *a: (200, "not json"), store=TranscriptStore(tmp_path))
 
 
 # --- mock judge ------------------------------------------------------------------

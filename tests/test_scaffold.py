@@ -35,6 +35,12 @@ def _to_diagnose(case, deps):
     return request_baseline(session, case, deps)
 
 
+def sent_prompt(deps, turn):
+    """The prompt ``turn`` sent: the last user message of its transcript."""
+    messages = json.loads(deps.transcripts.load(turn.call_id).request_text)["messages"]
+    return [m["content"] for m in messages if m["role"] == "user"][-1]
+
+
 def test_start_session_is_baseline_with_no_turns(corpus, deps):
     session = start_session(corpus.get("case1"), deps)
     assert session.stage == "Baseline"
@@ -45,8 +51,8 @@ def test_two_sessions_get_distinct_ids(corpus, deps):
     a = start_session(corpus.get("case1"), deps)
     b = start_session(corpus.get("case1"), deps)
     assert a.session_id != b.session_id
-    session_ids = [p.name for p in deps.store.directory.iterdir() if p.is_dir()]
-    assert sorted(session_ids) == sorted([a.session_id, b.session_id])
+    session_files = [p.name for p in deps.store.directory.iterdir()]
+    assert sorted(session_files) == sorted([f"{a.session_id}.json", f"{b.session_id}.json"])
 
 
 def test_baseline_response_stored_verbatim(corpus, tmp_path):
@@ -57,8 +63,8 @@ def test_baseline_response_stored_verbatim(corpus, tmp_path):
                         transport=canned_transport(reply))
     session = _to_diagnose(corpus.get("case1"), deps)
     assert session.stage == "Diagnose"
-    assert session.turns[0].response_text == reply
-    assert "deficient wind" in session.turns[0].response_text
+    assert deps.transcripts.load(session.turns[0].call_id).response_text == reply
+    assert "deficient wind" not in deps.store.path_for(session.session_id).read_text()
 
 
 def test_baseline_prompt_includes_source_and_reasoning_request(corpus):
@@ -70,7 +76,7 @@ def test_baseline_prompt_includes_source_and_reasoning_request(corpus):
 def test_diagnosis_routes_to_figures(corpus, deps):
     session = _to_diagnose(corpus.get("case1"), deps)
     session = record_diagnosis(
-        session, Diagnosis(False, frozenset({"figure_recognition_gap"})), deps)
+        session, Diagnosis(False, frozenset({"figure_recognition_gap"})), deps.store)
     assert session.stage == "IdentifyFigures"
     assert session.pending_stages == ["Polish"]
 
@@ -78,20 +84,20 @@ def test_diagnosis_routes_to_figures(corpus, deps):
 def test_diagnosis_knowledge_and_figures_queue_in_order(corpus, deps):
     session = _to_diagnose(corpus.get("case4"), deps)
     session = record_diagnosis(
-        session, Diagnosis(False, frozenset({"knowledge_gap", "figure_recognition_gap"})), deps)
+        session, Diagnosis(False, frozenset({"knowledge_gap", "figure_recognition_gap"})), deps.store)
     assert session.stage == "InjectKnowledge"
     assert session.pending_stages == ["IdentifyFigures", "Polish"]
 
 
 def test_adequate_goes_straight_to_polish(corpus, deps):
     session = _to_diagnose(corpus.get("case2"), deps)
-    session = record_diagnosis(session, Diagnosis(True), deps)
+    session = record_diagnosis(session, Diagnosis(True), deps.store)
     assert session.stage == "Polish"
 
 
 def test_linguistic_gap_only_goes_to_polish(corpus, deps):
     session = _to_diagnose(corpus.get("case2"), deps)
-    session = record_diagnosis(session, Diagnosis(False, frozenset({"linguistic_gap"})), deps)
+    session = record_diagnosis(session, Diagnosis(False, frozenset({"linguistic_gap"})), deps.store)
     assert session.stage == "Polish"
 
 
@@ -109,24 +115,25 @@ def test_diagnose_requires_baseline_turn(corpus, deps):
     session = start_session(corpus.get("case1"), deps)
     session.stage = "Diagnose"  # force past the gate without a turn
     with pytest.raises(StageError, match="baseline"):
-        record_diagnosis(session, Diagnosis(True), deps)
+        record_diagnosis(session, Diagnosis(True), deps.store)
 
 
 def test_advance_through_figures_to_polish(corpus, deps):
     case = corpus.get("case1")
     session = _to_diagnose(case, deps)
-    session = record_diagnosis(session, Diagnosis(False, frozenset({"figure_recognition_gap"})), deps)
+    session = record_diagnosis(session, Diagnosis(False, frozenset({"figure_recognition_gap"})),
+                               deps.store)
     session = advance(session, "Taiyi sets the seasonal orientation; wind lacking it is void wind.",
                       case, deps)
     assert session.stage == "Polish"
     assert session.turns[-1].stage_at_send == "IdentifyFigures"
-    assert "Taiyi" in session.turns[-1].prompt_text
+    assert "Taiyi" in sent_prompt(deps, session.turns[-1])
 
 
 def test_injection_stage_requires_supplement(corpus, deps):
     case = corpus.get("case1")
     session = _to_diagnose(case, deps)
-    session = record_diagnosis(session, Diagnosis(False, frozenset({"knowledge_gap"})), deps)
+    session = record_diagnosis(session, Diagnosis(False, frozenset({"knowledge_gap"})), deps.store)
     with pytest.raises(ValidationError, match="supplement"):
         advance(session, "   ", case, deps)
 
@@ -134,7 +141,7 @@ def test_injection_stage_requires_supplement(corpus, deps):
 def test_hold_keeps_stage_for_another_round(corpus, deps):
     case = corpus.get("case1")
     session = _to_diagnose(case, deps)
-    session = record_diagnosis(session, Diagnosis(False, frozenset({"knowledge_gap"})), deps)
+    session = record_diagnosis(session, Diagnosis(False, frozenset({"knowledge_gap"})), deps.store)
     session = advance(session, "first excerpt", case, deps, hold=True)
     assert session.stage == "InjectKnowledge"
     session = advance(session, "second excerpt", case, deps)
@@ -144,19 +151,20 @@ def test_hold_keeps_stage_for_another_round(corpus, deps):
 def test_polish_prompt_contains_fixed_instructions(corpus, deps):
     case = corpus.get("case2")
     session = _to_diagnose(case, deps)
-    session = record_diagnosis(session, Diagnosis(True), deps)
+    session = record_diagnosis(session, Diagnosis(True), deps.store)
     session = advance(session, "", case, deps)
-    assert "preserve the source text's structural ordering" in session.turns[-1].prompt_text
-    assert "dynamic verbal expressions" in session.turns[-1].prompt_text
+    prompt = sent_prompt(deps, session.turns[-1])
+    assert "preserve the source text's structural ordering" in prompt
+    assert "dynamic verbal expressions" in prompt
     assert session.stage == "Polish"  # polish self-loops until finalize
 
 
-def test_advance_after_finalize_is_a_stage_error(corpus, deps):
+def test_advance_after_finalize_is_a_stage_error(corpus, deps, tmp_path):
     case = corpus.get("case2")
     session = _to_diagnose(case, deps)
-    session = record_diagnosis(session, Diagnosis(True), deps)
+    session = record_diagnosis(session, Diagnosis(True), deps.store)
     session = advance(session, "", case, deps)
-    session = finalize(session, CASE2_ADJUSTED, case, corpus, deps)
+    session = finalize(session, CASE2_ADJUSTED, case, deps.store, tmp_path)
     with pytest.raises(StageError):
         advance(session, "more", case, deps)
 
@@ -164,9 +172,9 @@ def test_advance_after_finalize_is_a_stage_error(corpus, deps):
 def test_finalize_registers_adjusted_candidate(corpus, deps, tmp_path):
     case = corpus.get("case2")
     session = _to_diagnose(case, deps)
-    session = record_diagnosis(session, Diagnosis(True), deps)
+    session = record_diagnosis(session, Diagnosis(True), deps.store)
     session = advance(session, "", case, deps)
-    session = finalize(session, CASE2_ADJUSTED, case, corpus, deps, cases_dir=tmp_path)
+    session = finalize(session, CASE2_ADJUSTED, case, deps.store, tmp_path)
     assert session.stage == "Finalized"
     assert session.final_text == CASE2_ADJUSTED
     adjusted = [c for c in case.candidates if c.origin == "llm_adjusted"]
@@ -175,53 +183,70 @@ def test_finalize_registers_adjusted_candidate(corpus, deps, tmp_path):
     assert (tmp_path / "case2.json").exists()
 
 
-def test_finalize_requires_polish_turn(corpus, deps):
+def test_finalize_requires_polish_turn(corpus, deps, tmp_path):
     case = corpus.get("case3")
     session = _to_diagnose(case, deps)
-    session = record_diagnosis(session, Diagnosis(True), deps)
+    session = record_diagnosis(session, Diagnosis(True), deps.store)
     with pytest.raises(StageError, match="Polish"):
-        finalize(session, "text", case, corpus, deps)
+        finalize(session, "text", case, deps.store, tmp_path)
 
 
-def test_finalize_twice_is_immutable(corpus, deps):
+def test_finalize_twice_is_immutable(corpus, deps, tmp_path):
     case = corpus.get("case2")
     session = _to_diagnose(case, deps)
-    session = record_diagnosis(session, Diagnosis(True), deps)
+    session = record_diagnosis(session, Diagnosis(True), deps.store)
     session = advance(session, "", case, deps)
-    session = finalize(session, CASE2_ADJUSTED, case, corpus, deps)
+    session = finalize(session, CASE2_ADJUSTED, case, deps.store, tmp_path)
     with pytest.raises(StageError, match="finalized"):
-        finalize(session, "other text", case, corpus, deps)
+        finalize(session, "other text", case, deps.store, tmp_path)
 
 
-def test_finalize_empty_text_rejected(corpus, deps):
+def test_finalize_empty_text_rejected(corpus, deps, tmp_path):
     case = corpus.get("case2")
     session = _to_diagnose(case, deps)
-    session = record_diagnosis(session, Diagnosis(True), deps)
+    session = record_diagnosis(session, Diagnosis(True), deps.store)
     session = advance(session, "", case, deps)
     with pytest.raises(ValidationError):
-        finalize(session, "  ", case, corpus, deps)
+        finalize(session, "  ", case, deps.store, tmp_path)
 
 
 def test_session_replay_reproduces_prompts_byte_for_byte(corpus, deps):
     case = corpus.get("case1")
     session = _to_diagnose(case, deps)
     session = record_diagnosis(
-        session, Diagnosis(False, frozenset({"knowledge_gap", "figure_recognition_gap"})), deps)
+        session, Diagnosis(False, frozenset({"knowledge_gap", "figure_recognition_gap"})), deps.store)
     session = advance(session, "classical commentary excerpt", case, deps)
     session = advance(session, "void-wind mapping", case, deps)
     session = advance(session, "tighten the phrasing", case, deps)
 
     reloaded = deps.store.load(session.session_id)
+    assert len(reloaded.turns) == 4
     replayed = [render_stage_prompt(t.stage_at_send, case, t.supplement) for t in reloaded.turns]
-    assert replayed == [t.prompt_text for t in reloaded.turns]
+    assert replayed == [sent_prompt(deps, t) for t in reloaded.turns]
+
+
+def test_each_stage_prompt_follows_the_conversation_so_far(corpus, deps):
+    case = corpus.get("case1")
+    deps.transport = lambda config, request_text, api_key: (200, json.dumps(
+        {"choices": [{"message": {"content": f"reply {len(request_text)}"}}]}))
+    session = _to_diagnose(case, deps)
+    session = record_diagnosis(session, Diagnosis(False, frozenset({"knowledge_gap"})), deps.store)
+    session = advance(session, "classical commentary excerpt", case, deps)
+    session = advance(session, "", case, deps)
+    first, second, third = (deps.transcripts.load(t.call_id) for t in session.turns)
+    messages = json.loads(third.request_text)["messages"]
+    assert [m["role"] for m in messages] == ["user", "assistant", "user", "assistant", "user"]
+    assert messages[1]["content"] == first.response_text
+    assert messages[3]["content"] == second.response_text
+    assert messages[:4] == second.conversation()
+    assert messages[4]["content"] == render_stage_prompt("Polish", case)
 
 
 def test_store_round_trip_preserves_state(corpus, deps):
     case = corpus.get("case3")
     session = _to_diagnose(case, deps)
-    session = record_diagnosis(session, Diagnosis(False, frozenset({"linguistic_gap"})), deps)
+    session = record_diagnosis(session, Diagnosis(False, frozenset({"linguistic_gap"})), deps.store)
     loaded = deps.store.load(session.session_id)
-    assert loaded.stage == session.stage
-    assert loaded.diagnosis == session.diagnosis
-    assert [t.prompt_text for t in loaded.turns] == [t.prompt_text for t in session.turns]
-    assert loaded.turns[0].provider_call_id == session.turns[0].provider_call_id
+    assert loaded == session
+    (turn,) = loaded.turns
+    assert sent_prompt(deps, turn) == render_stage_prompt(turn.stage_at_send, case)

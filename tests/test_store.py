@@ -49,7 +49,7 @@ def test_round_trip_through_disk(tmp_path):
 
     session = ScaffoldSession(
         session_id="s", case_id="case1", translation_model="gpt/m",
-        turns=[Turn("Baseline", "p", "r", "t", "c")],
+        turns=[Turn("Baseline", "c")],
         diagnosis=Diagnosis(adequate_rationale=False, failure_modes={"knowledge_gap"}))
     assert from_doc(ScaffoldSession, to_doc(session)) == session
 
@@ -100,10 +100,10 @@ def test_from_doc_names_the_key_or_index_at_fault():
                        match=r"^EvaluationRecord\.warnings\[1\]: expected str, got NoneType$"):
         from_doc(EvaluationRecord, doc)
     session = to_doc(ScaffoldSession(session_id="s", case_id="case1", translation_model="gpt/m",
-                                     turns=[Turn("Baseline", "p", "r", "t", "c")]))
-    session["turns"][0]["prompt_text"] = 1
+                                     turns=[Turn("Baseline", "c")]))
+    session["turns"][0]["call_id"] = 1
     with pytest.raises(ValidationError,
-                       match=r"^ScaffoldSession\.turns\[0\]: Turn\.prompt_text: expected str, got int$"):
+                       match=r"^ScaffoldSession\.turns\[0\]: Turn\.call_id: expected str, got int$"):
         from_doc(ScaffoldSession, session)
 
 
@@ -245,7 +245,7 @@ transcripts = st.builds(Transcript, call_id=texts, provider_id=texts, request_di
                         attempts=st.integers(), timestamp=texts, temperature=finite)
 sessions = st.builds(
     ScaffoldSession, session_id=texts, case_id=texts, translation_model=texts, stage=texts,
-    turns=st.lists(st.builds(Turn, texts, texts, texts, texts, texts, texts), max_size=3),
+    turns=st.lists(st.builds(Turn, texts, texts, texts), max_size=3),
     diagnosis=st.none() | st.builds(Diagnosis, st.just(True), notes=texts)
     | st.builds(Diagnosis, st.just(False), st.frozensets(st.sampled_from(sorted(FAILURE_MODES))), texts),
     final_text=st.none() | texts, pending_stages=st.lists(texts, max_size=3))
