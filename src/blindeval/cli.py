@@ -219,7 +219,6 @@ def cmd_scaffold(run: RunDirectory, args) -> int:
         case = corpus.get(args.case_id)
         deps = _scaffold_deps(run, store, args.model, args.mock)
         session = scaffold.start_session(case, deps)
-        session = scaffold.request_baseline(session, case, deps)
         print(f"session {session.session_id} at stage {session.stage} "
               f"({len(session.turns)} turn(s))")
         return 0

@@ -165,19 +165,14 @@ class ScaffoldDeps:
 # --- operations --------------------------------------------------------------------
 
 def start_session(case: SourceCase, deps: ScaffoldDeps) -> ScaffoldSession:
-    """Open a fresh session at the Baseline stage (no turns yet)."""
+    """Open a fresh session and send its baseline translate-and-explain
+    prompt.  The session is first written at Diagnose with that turn, so
+    a failed baseline call leaves no session behind."""
     session = ScaffoldSession(
         session_id=deps.store.new_session_id(case.id, deps.provider.provider_id),
         case_id=case.id,
         translation_model=f"{deps.provider.provider_id}/{deps.provider.model}",
     )
-    deps.store.save(session)
-    return session
-
-
-def request_baseline(session: ScaffoldSession, case: SourceCase, deps: ScaffoldDeps) -> ScaffoldSession:
-    """Send the baseline translate-and-explain prompt; moves to Diagnose."""
-    session.require_stage(STAGE_BASELINE)
     _send_turn(session, case, "", deps)
     session.stage = STAGE_DIAGNOSE
     deps.store.save(session)

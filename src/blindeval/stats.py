@@ -16,14 +16,14 @@ Conventions
       W = (12*S2 - 3*m^2*n*(n+1)^2) / (m^2*n*(n^2-1) - m*sum_j T_j)
   with T_j = sum(t^3 - t) over judge j's tie groups, tested via
   chi^2 = m*(n-1)*W on n-1 degrees of freedom.
-* The Friedman statistic is
-      chi2_F = [12/(n*k*(k+1)) * sum_j R_j^2 - 3*n*(k+1)] / C
-  with tie correction C = 1 - sum(T)/(n*k*(k^2-1)), df = k-1.
+* The Friedman statistic over n blocks of k treatments is
+      chi2_F = n*(k-1)*W,  df = k-1,
+  where W is Kendall's W with the blocks as judges of the treatments,
+  computed by ``kendall_w`` (so it carries W's tie correction).
 * The Wilcoxon signed-rank test drops zero differences (the classic
-  rule; Pratt's variant is available as ``zero_policy="pratt"``), ranks
-  |d| with midranks, and is exact by full enumeration of sign
-  assignments for reduced n <= 20 (via a subset-sum count over doubled
-  ranks), otherwise normal with tie and continuity corrections.
+  rule), ranks |d| with midranks, and is exact by full enumeration of
+  sign assignments for reduced n <= 20 (via a subset-sum count over
+  doubled ranks), otherwise normal with tie and continuity corrections.
 """
 
 from __future__ import annotations
@@ -171,58 +171,26 @@ def kendall_w(ratings: list[list[float]]) -> TestResult:
 # --- k related samples -------------------------------------------------------
 
 def friedman(blocks: list[list[float]]) -> TestResult:
-    """Friedman rank test for k treatments across n matched blocks."""
+    """Friedman rank test for k treatments across n matched blocks: the
+    chi-square of Kendall's W with the blocks as judges."""
     n = len(blocks)
     if n < 2:
         raise StatsError(f"need at least 2 blocks, got {n}")
-    k = len(blocks[0])
-    if k < 2:
-        raise StatsError(f"need at least 2 treatments, got {k}")
-    if any(len(row) != k for row in blocks):
-        raise StatsError("ragged block matrix; blocks must be complete")
-    ranked = [average_ranks(row) for row in blocks]
-    col_sums = [sum(row[j] for row in ranked) for j in range(k)]
-    raw = 12.0 / (n * k * (k + 1)) * sum(r * r for r in col_sums) - 3.0 * n * (k + 1)
-    ties = sum(tie_term(row) for row in blocks)
-    correction = 1.0 - ties / (n * k * (k * k - 1))
-    if correction <= 0.0:
-        raise DegenerateInputError("every block fully tied; Friedman statistic undefined")
-    chi2 = raw / correction
-    chi2 = max(0.0, chi2)
+    w = kendall_w(blocks)
     return TestResult(
         test_name="friedman",
-        statistic=chi2,
-        p_value=chi2_sf(chi2, k - 1),
-        df=k - 1,
-        n_objects=n,
-        n_treatments=k,
-        tie_correction_applied=ties > 0,
+        statistic=w.extras["chi_square"],
+        p_value=w.p_value,
+        df=w.df,
+        n_objects=w.n_judges,
+        n_treatments=w.n_objects,
+        tie_correction_applied=w.tie_correction_applied,
     )
 
 
 # --- paired comparison -------------------------------------------------------
 
 EXACT_LIMIT = 20  # 2^20 sign assignments; subset-sum count stays sub-second
-
-
-def _signed_rank_reduce(x: list[float], y: list[float], zero_policy: str):
-    if len(x) != len(y):
-        raise StatsError(f"length mismatch: {len(x)} vs {len(y)}")
-    diffs = [a - b for a, b in zip(x, y)]
-    if zero_policy == "wilcoxon":
-        diffs = [d for d in diffs if d != 0.0]
-        if not diffs:
-            raise DegenerateInputError("all differences are zero; no information")
-        ranks = average_ranks([abs(d) for d in diffs])
-        signed = list(zip(ranks, diffs))
-    elif zero_policy == "pratt":
-        if all(d == 0.0 for d in diffs):
-            raise DegenerateInputError("all differences are zero; no information")
-        ranks = average_ranks([abs(d) for d in diffs])
-        signed = [(r, d) for r, d in zip(ranks, diffs) if d != 0.0]
-    else:
-        raise StatsError(f"unknown zero_policy {zero_policy!r}")
-    return signed
 
 
 def _exact_two_sided_p(doubled_ranks: list[int], t_plus_doubled: int) -> float:
@@ -244,12 +212,7 @@ def _exact_two_sided_p(doubled_ranks: list[int], t_plus_doubled: int) -> float:
     return favourable / 2 ** len(doubled_ranks)
 
 
-def wilcoxon_signed_rank(
-    x: list[float],
-    y: list[float],
-    mode: str = "auto",
-    zero_policy: str = "wilcoxon",
-) -> TestResult:
+def wilcoxon_signed_rank(x: list[float], y: list[float], mode: str = "auto") -> TestResult:
     """Paired signed-rank test; two-sided.
 
     ``mode`` is "exact", "approx" or "auto" (exact iff the zero-reduced
@@ -257,29 +220,28 @@ def wilcoxon_signed_rank(
     """
     if mode not in ("exact", "approx", "auto"):
         raise StatsError(f"unknown mode {mode!r}")
-    signed = _signed_rank_reduce(x, y, zero_policy)
-    n = len(signed)
-    t_plus = sum(r for r, d in signed if d > 0)
-    t_minus = sum(r for r, d in signed if d < 0)
+    if len(x) != len(y):
+        raise StatsError(f"length mismatch: {len(x)} vs {len(y)}")
+    diffs = [d for d in (a - b for a, b in zip(x, y)) if d != 0.0]
+    if not diffs:
+        raise DegenerateInputError("all differences are zero; no information")
+    magnitudes = [abs(d) for d in diffs]
+    ranks = average_ranks(magnitudes)
+    n = len(diffs)
+    t_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
+    t_minus = sum(r for r, d in zip(ranks, diffs) if d < 0)
     use_exact = mode == "exact" or (mode == "auto" and n <= EXACT_LIMIT)
 
     extras: dict[str, float] = {"t_plus": t_plus, "t_minus": t_minus}
-    ranks = [r for r, _ in signed]
-    ties = tie_term([abs(d) for _, d in signed])
+    ties = tie_term(magnitudes)
 
     if use_exact:
         doubled = [round(2 * r) for r in ranks]
         p = _exact_two_sided_p(doubled, round(2 * t_plus))
         method = "exact"
     else:
-        if zero_policy == "pratt":
-            # ranks are zero-inflated; the sign-flip identities
-            # mean = sum(r)/2, var = sum(r^2)/4 stay exact
-            mean = sum(ranks) / 2.0
-            var = sum(r * r for r in ranks) / 4.0
-        else:
-            mean = n * (n + 1) / 4.0
-            var = n * (n + 1) * (2 * n + 1) / 24.0 - ties / 48.0
+        mean = n * (n + 1) / 4.0
+        var = n * (n + 1) * (2 * n + 1) / 24.0 - ties / 48.0
         if var <= 0:
             raise DegenerateInputError("zero variance after tie correction")
         sd = math.sqrt(var)
@@ -445,22 +407,16 @@ def version_difference_battery(table: ScoreTable, blocking=DEFAULT_BLOCKING) -> 
     friedman_result = friedman(rows)
     k = len(slots)
     family = k * (k - 1) // 2
-    raw: list[tuple[str, str, TestResult | None, str]] = []
+    pairwise = []
     for ia, ib in itertools.combinations(range(k), 2):
         x = [row[ia] for row in rows]
         y = [row[ib] for row in rows]
         try:
-            res = wilcoxon_signed_rank(x, y, mode="auto")
+            res = bonferroni([wilcoxon_signed_rank(x, y, mode="auto")], family)[0]
             note = ""
         except DegenerateInputError as exc:
             res, note = None, str(exc)
-        raw.append((slots[ia], slots[ib], res, note))
-    live = bonferroni([r for _, _, r, _ in raw if r is not None], family)
-    live_iter = iter(live)
-    pairwise = [
-        PairwiseComparison(a, b, next(live_iter) if r is not None else None, note)
-        for a, b, r, note in raw
-    ]
+        pairwise.append(PairwiseComparison(slots[ia], slots[ib], res, note))
     return BatteryResult(
         friedman=friedman_result,
         pairwise=pairwise,

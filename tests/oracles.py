@@ -2,10 +2,10 @@
 the run-directory writer and the prose parser.
 
 Deliberately built on different machinery than the engine: numpy/scipy
-ranking, brute-force enumeration, permutation resampling, the no-ties
-Spearman shortcut, full scans of the score table for every report
-aggregate, the concept block the golden questionnaire copy was written
-for, the two-step JSON writer (``to_doc`` then json's own pretty-printer) and
+ranking, exact rational arithmetic, brute-force enumeration, permutation
+resampling, the no-ties Spearman shortcut, full scans of the score table
+for every report aggregate, the concept block the golden questionnaire
+copy was written for, the two-step JSON writer (``to_doc`` then json's own pretty-printer) and
 the score parser as it was before its lines were prefiltered.  Nothing
 here imports from blindeval.stats, blindeval.report or blindeval.store.
 """
@@ -17,6 +17,8 @@ import dataclasses
 import io
 import json
 import re
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from scipy.stats import rankdata
@@ -102,6 +104,22 @@ def friedman_chi2(matrix):
         ties += (counts ** 3 - counts).sum()
     correction = 1.0 - ties / (n * k * (k * k - 1))
     return raw / correction
+
+
+def friedman_chi2_exact(matrix):
+    """Tie-corrected Friedman statistic as an exact Fraction: midranks
+    counted from each block's values, then the classic formula."""
+    n, k = len(matrix), len(matrix[0])
+    col_sums = [Fraction(0)] * k
+    ties = 0
+    for row in matrix:
+        for j, v in enumerate(row):
+            below = sum(u < v for u in row)
+            equal = sum(u == v for u in row)
+            col_sums[j] += Fraction(2 * below + equal + 1, 2)
+        ties += sum(t ** 3 - t for t in Counter(row).values())
+    raw = Fraction(12, n * k * (k + 1)) * sum(r * r for r in col_sums) - 3 * n * (k + 1)
+    return raw / (1 - Fraction(ties, n * k * (k * k - 1)))
 
 
 def friedman_permutation_p(matrix, n_perms=20_000, seed=0, convention="exclusive"):

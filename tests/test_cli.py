@@ -537,3 +537,20 @@ def test_a_mock_session_is_one_file_whose_turns_name_their_transcripts(run_dir, 
             "content": render_stage_prompt(turn.stage_at_send, case, turn.supplement)}
         assert transcript.response_text not in path.read_text(encoding="utf-8")
     assert [c.text for c in case.candidates if c.origin == "llm_adjusted"] == ["T"]
+
+
+def test_a_failed_baseline_call_leaves_no_session(run_dir, tmp_path, capsys, monkeypatch):
+    _add_demo_cases(run_dir, tmp_path)
+    monkeypatch.delenv("DEEPSEEK_API_KEY", raising=False)
+    start = ["-C", str(run_dir), "scaffold", "start", "--case", "case1", "--model", "deepseek"]
+    capsys.readouterr()
+    assert main(start) == 1
+    _single_error_line(capsys, "DEEPSEEK_API_KEY")
+    assert list((run_dir / "sessions").iterdir()) == []
+
+    assert main([*start, "--mock"]) == 0
+    path = run_dir / "sessions" / "case1-deepseek-01.json"
+    assert list(path.parent.iterdir()) == [path]
+    session = SessionStore(path.parent).load("case1-deepseek-01")
+    assert session.stage == "Diagnose"
+    assert [t.stage_at_send for t in session.turns] == ["Baseline"]

@@ -4,11 +4,10 @@ import json
 
 import pytest
 
-from blindeval.errors import StageError, ValidationError
+from blindeval.errors import StageError, TransportError, ValidationError
 from blindeval.provider import TranscriptStore, mock_config
-from blindeval.scaffold import (Diagnosis, ScaffoldDeps, SessionStore, advance, finalize,
-                                record_diagnosis, render_stage_prompt, request_baseline,
-                                start_session)
+from blindeval.scaffold import (Diagnosis, ScaffoldDeps, ScaffoldSession, SessionStore, advance,
+                                finalize, record_diagnosis, render_stage_prompt, start_session)
 
 CASE2_ADJUSTED = ("Summer (Fire-Qi) ascends and thereby fuses the hardness of Autumn "
                   "(Metal-Qi). This is the dynamic balance of the conquest cycles.")
@@ -30,21 +29,26 @@ def deps(tmp_path):
     )
 
 
-def _to_diagnose(case, deps):
-    session = start_session(case, deps)
-    return request_baseline(session, case, deps)
-
-
 def sent_prompt(deps, turn):
     """The prompt ``turn`` sent: the last user message of its transcript."""
     messages = json.loads(deps.transcripts.load(turn.call_id).request_text)["messages"]
     return [m["content"] for m in messages if m["role"] == "user"][-1]
 
 
-def test_start_session_is_baseline_with_no_turns(corpus, deps):
+def test_start_session_sends_the_baseline_and_saves_once_at_diagnose(corpus, deps):
     session = start_session(corpus.get("case1"), deps)
-    assert session.stage == "Baseline"
-    assert session.turns == []
+    assert session.stage == "Diagnose"
+    assert [t.stage_at_send for t in session.turns] == ["Baseline"]
+    assert deps.store.load(session.session_id) == session
+
+
+def test_failed_baseline_call_leaves_no_session(corpus, deps):
+    def refusing(config, request_text, api_key):
+        return 400, "bad request"
+    deps.transport = refusing
+    with pytest.raises(TransportError):
+        start_session(corpus.get("case1"), deps)
+    assert list(deps.store.directory.iterdir()) == []
 
 
 def test_two_sessions_get_distinct_ids(corpus, deps):
@@ -61,7 +65,7 @@ def test_baseline_response_stored_verbatim(corpus, tmp_path):
                         store=SessionStore(tmp_path / "s"),
                         transcripts=TranscriptStore(tmp_path / "t"),
                         transport=canned_transport(reply))
-    session = _to_diagnose(corpus.get("case1"), deps)
+    session = start_session(corpus.get("case1"), deps)
     assert session.stage == "Diagnose"
     assert deps.transcripts.load(session.turns[0].call_id).response_text == reply
     assert "deficient wind" not in deps.store.path_for(session.session_id).read_text()
@@ -74,7 +78,7 @@ def test_baseline_prompt_includes_source_and_reasoning_request(corpus):
 
 
 def test_diagnosis_routes_to_figures(corpus, deps):
-    session = _to_diagnose(corpus.get("case1"), deps)
+    session = start_session(corpus.get("case1"), deps)
     session = record_diagnosis(
         session, Diagnosis(False, frozenset({"figure_recognition_gap"})), deps.store)
     assert session.stage == "IdentifyFigures"
@@ -82,7 +86,7 @@ def test_diagnosis_routes_to_figures(corpus, deps):
 
 
 def test_diagnosis_knowledge_and_figures_queue_in_order(corpus, deps):
-    session = _to_diagnose(corpus.get("case4"), deps)
+    session = start_session(corpus.get("case4"), deps)
     session = record_diagnosis(
         session, Diagnosis(False, frozenset({"knowledge_gap", "figure_recognition_gap"})), deps.store)
     assert session.stage == "InjectKnowledge"
@@ -90,13 +94,13 @@ def test_diagnosis_knowledge_and_figures_queue_in_order(corpus, deps):
 
 
 def test_adequate_goes_straight_to_polish(corpus, deps):
-    session = _to_diagnose(corpus.get("case2"), deps)
+    session = start_session(corpus.get("case2"), deps)
     session = record_diagnosis(session, Diagnosis(True), deps.store)
     assert session.stage == "Polish"
 
 
 def test_linguistic_gap_only_goes_to_polish(corpus, deps):
-    session = _to_diagnose(corpus.get("case2"), deps)
+    session = start_session(corpus.get("case2"), deps)
     session = record_diagnosis(session, Diagnosis(False, frozenset({"linguistic_gap"})), deps.store)
     assert session.stage == "Polish"
 
@@ -111,16 +115,17 @@ def test_unknown_mode_is_invalid():
         Diagnosis(False, frozenset({"mystery"}))
 
 
-def test_diagnose_requires_baseline_turn(corpus, deps):
-    session = start_session(corpus.get("case1"), deps)
-    session.stage = "Diagnose"  # force past the gate without a turn
+def test_diagnose_requires_baseline_turn(deps):
+    # session files come from outside the program; one may name no turn
+    session = ScaffoldSession("case1-deepseek-01", "case1", "deepseek/deepseek-chat",
+                              stage="Diagnose")
     with pytest.raises(StageError, match="baseline"):
         record_diagnosis(session, Diagnosis(True), deps.store)
 
 
 def test_advance_through_figures_to_polish(corpus, deps):
     case = corpus.get("case1")
-    session = _to_diagnose(case, deps)
+    session = start_session(case, deps)
     session = record_diagnosis(session, Diagnosis(False, frozenset({"figure_recognition_gap"})),
                                deps.store)
     session = advance(session, "Taiyi sets the seasonal orientation; wind lacking it is void wind.",
@@ -132,7 +137,7 @@ def test_advance_through_figures_to_polish(corpus, deps):
 
 def test_injection_stage_requires_supplement(corpus, deps):
     case = corpus.get("case1")
-    session = _to_diagnose(case, deps)
+    session = start_session(case, deps)
     session = record_diagnosis(session, Diagnosis(False, frozenset({"knowledge_gap"})), deps.store)
     with pytest.raises(ValidationError, match="supplement"):
         advance(session, "   ", case, deps)
@@ -140,7 +145,7 @@ def test_injection_stage_requires_supplement(corpus, deps):
 
 def test_hold_keeps_stage_for_another_round(corpus, deps):
     case = corpus.get("case1")
-    session = _to_diagnose(case, deps)
+    session = start_session(case, deps)
     session = record_diagnosis(session, Diagnosis(False, frozenset({"knowledge_gap"})), deps.store)
     session = advance(session, "first excerpt", case, deps, hold=True)
     assert session.stage == "InjectKnowledge"
@@ -150,7 +155,7 @@ def test_hold_keeps_stage_for_another_round(corpus, deps):
 
 def test_polish_prompt_contains_fixed_instructions(corpus, deps):
     case = corpus.get("case2")
-    session = _to_diagnose(case, deps)
+    session = start_session(case, deps)
     session = record_diagnosis(session, Diagnosis(True), deps.store)
     session = advance(session, "", case, deps)
     prompt = sent_prompt(deps, session.turns[-1])
@@ -161,7 +166,7 @@ def test_polish_prompt_contains_fixed_instructions(corpus, deps):
 
 def test_advance_after_finalize_is_a_stage_error(corpus, deps, tmp_path):
     case = corpus.get("case2")
-    session = _to_diagnose(case, deps)
+    session = start_session(case, deps)
     session = record_diagnosis(session, Diagnosis(True), deps.store)
     session = advance(session, "", case, deps)
     session = finalize(session, CASE2_ADJUSTED, case, deps.store, tmp_path)
@@ -171,7 +176,7 @@ def test_advance_after_finalize_is_a_stage_error(corpus, deps, tmp_path):
 
 def test_finalize_registers_adjusted_candidate(corpus, deps, tmp_path):
     case = corpus.get("case2")
-    session = _to_diagnose(case, deps)
+    session = start_session(case, deps)
     session = record_diagnosis(session, Diagnosis(True), deps.store)
     session = advance(session, "", case, deps)
     session = finalize(session, CASE2_ADJUSTED, case, deps.store, tmp_path)
@@ -185,7 +190,7 @@ def test_finalize_registers_adjusted_candidate(corpus, deps, tmp_path):
 
 def test_finalize_requires_polish_turn(corpus, deps, tmp_path):
     case = corpus.get("case3")
-    session = _to_diagnose(case, deps)
+    session = start_session(case, deps)
     session = record_diagnosis(session, Diagnosis(True), deps.store)
     with pytest.raises(StageError, match="Polish"):
         finalize(session, "text", case, deps.store, tmp_path)
@@ -193,7 +198,7 @@ def test_finalize_requires_polish_turn(corpus, deps, tmp_path):
 
 def test_finalize_twice_is_immutable(corpus, deps, tmp_path):
     case = corpus.get("case2")
-    session = _to_diagnose(case, deps)
+    session = start_session(case, deps)
     session = record_diagnosis(session, Diagnosis(True), deps.store)
     session = advance(session, "", case, deps)
     session = finalize(session, CASE2_ADJUSTED, case, deps.store, tmp_path)
@@ -203,7 +208,7 @@ def test_finalize_twice_is_immutable(corpus, deps, tmp_path):
 
 def test_finalize_empty_text_rejected(corpus, deps, tmp_path):
     case = corpus.get("case2")
-    session = _to_diagnose(case, deps)
+    session = start_session(case, deps)
     session = record_diagnosis(session, Diagnosis(True), deps.store)
     session = advance(session, "", case, deps)
     with pytest.raises(ValidationError):
@@ -212,7 +217,7 @@ def test_finalize_empty_text_rejected(corpus, deps, tmp_path):
 
 def test_session_replay_reproduces_prompts_byte_for_byte(corpus, deps):
     case = corpus.get("case1")
-    session = _to_diagnose(case, deps)
+    session = start_session(case, deps)
     session = record_diagnosis(
         session, Diagnosis(False, frozenset({"knowledge_gap", "figure_recognition_gap"})), deps.store)
     session = advance(session, "classical commentary excerpt", case, deps)
@@ -229,7 +234,7 @@ def test_each_stage_prompt_follows_the_conversation_so_far(corpus, deps):
     case = corpus.get("case1")
     deps.transport = lambda config, request_text, api_key: (200, json.dumps(
         {"choices": [{"message": {"content": f"reply {len(request_text)}"}}]}))
-    session = _to_diagnose(case, deps)
+    session = start_session(case, deps)
     session = record_diagnosis(session, Diagnosis(False, frozenset({"knowledge_gap"})), deps.store)
     session = advance(session, "classical commentary excerpt", case, deps)
     session = advance(session, "", case, deps)
@@ -244,7 +249,7 @@ def test_each_stage_prompt_follows_the_conversation_so_far(corpus, deps):
 
 def test_store_round_trip_preserves_state(corpus, deps):
     case = corpus.get("case3")
-    session = _to_diagnose(case, deps)
+    session = start_session(case, deps)
     session = record_diagnosis(session, Diagnosis(False, frozenset({"linguistic_gap"})), deps.store)
     loaded = deps.store.load(session.session_id)
     assert loaded == session

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,9 @@ from blindeval.stats import (average_ranks, battery_blocks, bonferroni, cross_mo
                              role_object_means, spearman_rho, version_difference_battery,
                              wilcoxon_signed_rank)
 from concordance_fixtures import RATINGS_W073, RATINGS_W078
-from oracles import (battery_blocks_full_scan, brute_force_ranks, friedman_permutation_p,
-                     kendall_w_oracle, rank_then_pearson, spearman_rho_shortcut,
-                     wilcoxon_exact_two_sided)
+from oracles import (battery_blocks_full_scan, brute_force_ranks, friedman_chi2_exact,
+                     friedman_permutation_p, kendall_w_oracle, rank_then_pearson,
+                     spearman_rho_shortcut, wilcoxon_exact_two_sided)
 
 
 # --- average_ranks -----------------------------------------------------------------
@@ -191,6 +192,29 @@ def test_friedman_statistic_matches_independent_recomputation():
         assert ours == pytest.approx(friedman_chi2(blocks), abs=1e-10)
 
 
+def test_friedman_is_exact_to_the_digits_it_prints():
+    # the tie-corrected difference-of-sums form loses digits here (0.06382978723405706)
+    example = [[2, 1, 2, 2], [3, 1, 1, 4], [3, 4, 3, 3], [5, 4, 5, 4], [4, 5, 5, 2], [1, 2, 1, 3]]
+    assert friedman_chi2_exact(example) == Fraction(3, 47)
+    rng = random.Random(4242)
+    batch = [example] + [[[rng.randint(1, 5) for _ in range(k)] for _ in range(n)]
+                         for n, k in ((rng.randint(2, 12), rng.randint(2, 5)) for _ in range(300))]
+    checked = 0
+    for blocks in batch:
+        try:
+            result = friedman(blocks)
+        except DegenerateInputError:
+            continue
+        checked += 1
+        assert result.statistic == pytest.approx(
+            float(friedman_chi2_exact(blocks)), rel=1e-15, abs=0)
+        w = kendall_w(blocks)
+        assert result.statistic == w.extras["chi_square"]
+        assert (result.df, result.n_objects, result.n_treatments) == (w.df, w.n_judges, w.n_objects)
+        assert result.n_judges is None and result.extras == {}
+    assert checked > 250
+
+
 def test_friedman_p_close_to_permutation_oracle_quick():
     rng = random.Random(5)
     blocks = [[rng.randint(1, 5) for _ in range(4)] for _ in range(10)]
@@ -219,13 +243,7 @@ def test_zero_differences_dropped():
     assert result.n_objects == 3  # the zero pair vanished
 
 
-def test_pratt_policy_keeps_zero_ranks():
-    classic = wilcoxon_signed_rank([1, 5, 2, 7], [1, 3, 4, 2], mode="exact")
-    pratt = wilcoxon_signed_rank([1, 5, 2, 7], [1, 3, 4, 2], mode="exact", zero_policy="pratt")
-    assert pratt.statistic != classic.statistic
-
-
-def test_approx_matches_scipy_for_both_zero_policies():
+def test_approx_matches_scipy():
     from scipy.stats import wilcoxon as scipy_wilcoxon
 
     rng = random.Random(5)
@@ -234,11 +252,10 @@ def test_approx_matches_scipy_for_both_zero_policies():
         d = [rng.choice([-3, -2, -1, 0, 0, 1, 2, 3, 4]) for _ in range(n)]
         if all(v == 0 for v in d) or all(v >= 0 for v in d) or all(v <= 0 for v in d):
             continue
-        for policy, scipy_policy in (("wilcoxon", "wilcox"), ("pratt", "pratt")):
-            ours = wilcoxon_signed_rank(d, [0] * n, mode="approx", zero_policy=policy)
-            ref = scipy_wilcoxon(d, zero_method=scipy_policy, correction=True,
-                                 alternative="two-sided", method="approx")
-            assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-12)
+        ours = wilcoxon_signed_rank(d, [0] * n, mode="approx")
+        ref = scipy_wilcoxon(d, zero_method="wilcox", correction=True,
+                             alternative="two-sided", method="approx")
+        assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-12)
 
 
 def test_exact_matches_enumeration_oracle_with_ties():
