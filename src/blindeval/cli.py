@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roles", default="")
     p.add_argument("--models", required=True)
     p.add_argument("--mock", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--concurrency", type=int, default=2)
     p.add_argument("--resume", action="store_true")
     p.add_argument("--repeats", type=int, default=1)
@@ -179,20 +178,27 @@ def cmd_blind(run: RunDirectory, args) -> int:
         raise ValidationError("no cases to blind; add cases first")
     seed = run.global_seed if args.seed is None else args.seed
     existing = blinding.load_plans(run.path("blinding"))
-    for case in corpus:
-        if args.fixture == "paper-layout":
-            plan = blinding.paper_layout_plan(case)
-        else:
-            plan = blinding.make_blind_plan(case, seed)
-        old = existing.get(case.id)
-        if old is not None and old.permutation != plan.permutation and not args.force:
-            raise ValidationError(
-                f"case {case.id!r} already has a different blind plan; "
-                "refusing to change the blind (pass --force to override)")
-        if old is not None and old.permutation == plan.permutation:
-            continue  # idempotent re-run
+    plans = [blinding.paper_layout_plan(case) if args.fixture == "paper-layout"
+             else blinding.make_blind_plan(case, seed) for case in corpus]
+    # a re-run with the same plans is a no-op
+    plans = [p for p in plans if p.case_id not in existing
+             or existing[p.case_id].permutation != p.permutation]
+    replaced = [p.case_id for p in plans if p.case_id in existing]
+    if replaced and not args.force:
+        raise ValidationError(
+            f"case {replaced[0]!r} already has a different blind plan; "
+            "refusing to change the blind (pass --force to override)")
+    if replaced:
+        # records are keyed by public label, so a new plan would unblind them wrongly
+        judged = {r.case_id for r in judge.RecordStore(run.path("records")).load_all()}
+        for case_id in replaced:
+            if case_id in judged:
+                raise ValidationError(
+                    f"case {case_id!r} has evaluation records keyed by its blind plan; "
+                    "refusing to change the blind even with --force (remove its records first)")
+    for plan in plans:
         blinding.save_plan(plan, run.path("blinding"))
-        print(f"blinded {case.id}: labels 1..{plan.k} assigned ({plan.algorithm})")
+        print(f"blinded {plan.case_id}: labels 1..{plan.k} assigned ({plan.algorithm})")
     return 0
 
 
@@ -290,8 +296,7 @@ def build_judge_context(run: RunDirectory, models: list[str], mock: bool, seed: 
 
 def cmd_evaluate(run: RunDirectory, args) -> int:
     models = [m for m in args.models.split(",") if m]
-    seed = run.global_seed if args.seed is None else args.seed
-    ctx = build_judge_context(run, models, args.mock, seed)
+    ctx = build_judge_context(run, models, args.mock, run.global_seed)
     roles = [r for r in args.roles.split(",") if r] or sorted(ctx.roles)
     unknown = [r for r in roles if r not in ctx.roles]
     if unknown:

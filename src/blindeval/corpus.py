@@ -78,9 +78,6 @@ class Corpus:
     def __contains__(self, case_id: str) -> bool:
         return case_id in self._cases
 
-    def case_ids(self) -> list[str]:
-        return list(self._cases)
-
     def get(self, case_id: str) -> SourceCase:
         if case_id not in self._cases:
             raise ValidationError(f"unknown case {case_id!r}")

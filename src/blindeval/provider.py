@@ -171,6 +171,8 @@ def complete(
 
     try:
         content = json.loads(body)["choices"][0]["message"]["content"]
+        if not isinstance(content, str):   # a refused or filtered reply has null content
+            raise TypeError(f"message content is {type(content).__name__}, not a string")
     except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
         raise TransportError(
             f"provider {config.provider_id!r} returned a malformed completion body: {exc}",

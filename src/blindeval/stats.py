@@ -24,6 +24,10 @@ Conventions
   rule), ranks |d| with midranks, and is exact by full enumeration of
   sign assignments for reduced n <= 20 (via a subset-sum count over
   doubled ranks), otherwise normal with tie and continuity corrections.
+* Missing data has one rule, listwise deletion: ``complete_units`` builds
+  every matrix over a ScoreTable and keeps only the units scored in every
+  column.  The units dropped are counted: ``excluded=N`` in an agreement
+  result's extras (shown only when N > 0), ``excluded_blocks`` in the battery.
 """
 
 from __future__ import annotations
@@ -279,72 +283,68 @@ def bonferroni(results: list[TestResult], family_size: int) -> list[TestResult]:
 
 # --- agreement analyses over a ScoreTable -------------------------------------
 
+def complete_units(cells, columns):
+    """Pivot (unit, column, score) triples into a units x columns matrix.
+
+    Each cell is the mean of its scores, summed in the order given.  Only
+    units scored in every column are kept, sorted; ``excluded`` counts the
+    rest.  Returns (units, rows, excluded).
+    """
+    grid: dict = {}
+    for unit, column, score in cells:
+        grid.setdefault(unit, {}).setdefault(column, []).append(score)
+    units, rows = [], []
+    for unit in sorted(grid):
+        try:
+            rows.append([sum(v) / len(v) for v in map(grid[unit].__getitem__, columns)])
+        except KeyError:    # a column the unit was not scored in
+            continue
+        units.append(unit)
+    return units, rows, len(grid) - len(units)
+
+
+def _noting_excluded(result: TestResult, excluded: int) -> TestResult:
+    """The result with ``excluded=N`` in its extras when N units were dropped."""
+    if not excluded:
+        return result
+    return replace(result, extras={**result.extras, "excluded": excluded})
+
+
 @dataclass(frozen=True)
 class AgreementResult:
     spearman: TestResult
     kendall: TestResult
 
 
-def model_paired_scores(table: ScoreTable):
-    """Collapse repeats, then pair observations across the two models by
-    (case, role, candidate, dimension).  Returns (model_a, model_b, keys,
-    x, y) with keys sorted for determinism."""
+def cross_model_agreement(table: ScoreTable) -> AgreementResult:
+    """Spearman over paired per-cell scores plus Kendall's W treating each
+    model as a judge of the matched observations; a (case, role,
+    candidate, dimension) cell counts only when both models scored it."""
     models = table.model_ids()
     if len(models) != 2:
         raise StatsError(f"cross-model agreement needs exactly 2 models, table has {len(models)}")
-    model_a, model_b = sorted(models)
-    collapsed = table.collapsed()
-    per_model: dict[str, dict[tuple, float]] = {model_a: {}, model_b: {}}
-    for (case_id, role_id, model_id, cand_id, dim), score in collapsed.items():
-        per_model[model_id][(case_id, role_id, cand_id, dim)] = score
-    keys_a, keys_b = set(per_model[model_a]), set(per_model[model_b])
-    if keys_a != keys_b:
-        missing = sorted(keys_a.symmetric_difference(keys_b))
-        shown = ", ".join(repr(k) for k in missing[:5])
-        raise StatsError(f"{len(missing)} unpaired cells across models, e.g. {shown}")
-    keys = sorted(keys_a)
-    x = [per_model[model_a][k] for k in keys]
-    y = [per_model[model_b][k] for k in keys]
-    return model_a, model_b, keys, x, y
-
-
-def cross_model_agreement(table: ScoreTable) -> AgreementResult:
-    """Spearman over paired per-cell scores plus Kendall's W treating each
-    model as a judge of the matched observations."""
-    _, _, _, x, y = model_paired_scores(table)
-    return AgreementResult(spearman=spearman_rho(x, y), kendall=kendall_w([x, y]))
-
-
-def role_object_means(table: ScoreTable, model_id: str):
-    """Per-role mean score of every (case, candidate) object, dimensions
-    collapsed.  Returns (roles, objects, matrix[role][object])."""
-    collapsed = table.collapsed()
-    roles = sorted({r for (_, r, m, _, _) in collapsed if m == model_id})
-    if len(roles) < 2:
-        raise StatsError(f"model {model_id!r} has {len(roles)} role(s); need at least 2")
-    objects = sorted({(c, cand) for (c, _, m, cand, _) in collapsed if m == model_id})
-    sums: dict[tuple, list[float]] = {}
-    for (case_id, role_id, mid, cand_id, _), score in collapsed.items():
-        if mid != model_id:
-            continue
-        sums.setdefault((role_id, case_id, cand_id), []).append(score)
-    matrix = []
-    for role in roles:
-        row = []
-        for case_id, cand_id in objects:
-            cell = sums.get((role, case_id, cand_id))
-            if not cell:
-                raise StatsError(f"role {role!r} has no scores for object {(case_id, cand_id)!r}")
-            row.append(sum(cell) / len(cell))
-        matrix.append(row)
-    return roles, objects, matrix
+    pick = operator.itemgetter(0, 1, 3, 4)
+    _, rows, excluded = complete_units(
+        ((pick(key), key[2], score) for key, score in table.collapsed().items()), models)
+    x = [row[0] for row in rows]
+    y = [row[1] for row in rows]
+    return AgreementResult(spearman=_noting_excluded(spearman_rho(x, y), excluded),
+                           kendall=_noting_excluded(kendall_w([x, y]), excluded))
 
 
 def cross_role_agreement(table: ScoreTable, model_id: str) -> TestResult:
     """Kendall's W with roles as judges and (case x candidate) objects,
-    each object summarized by its mean over dimensions."""
-    _, _, matrix = role_object_means(table, model_id)
-    return kendall_w(matrix)
+    each object summarized by its mean over dimensions; an object counts
+    only when every role scored it."""
+    cells = [((case_id, cand_id), role_id, score)
+             for (case_id, role_id, mid, cand_id, _), score in table.collapsed().items()
+             if mid == model_id]
+    roles = sorted({role_id for _, role_id, _ in cells})
+    if len(roles) < 2:
+        raise StatsError(f"model {model_id!r} has {len(roles)} role(s); need at least 2")
+    _, rows, excluded = complete_units(cells, roles)
+    matrix = [[row[j] for row in rows] for j in range(len(roles))]
+    return _noting_excluded(kendall_w(matrix), excluded)
 
 
 # --- version difference battery ------------------------------------------------
@@ -383,19 +383,11 @@ def battery_blocks(table: ScoreTable, blocking=DEFAULT_BLOCKING):
     pick = operator.itemgetter(0, 3, *(_BLOCK_FIELDS[b] for b in blocking))
     slot_of = table.slot_of
     slots = sorted(set(slot_of.values()))
-    cells: dict[tuple, dict[str, list[float]]] = {}
-    for key, score in table.collapsed().items():
-        k = pick(key)
-        cells.setdefault(k[2:], {}).setdefault(slot_of[k[:2]], []).append(score)
-    complete_rows = []
-    excluded = 0
-    for block_key in sorted(cells):
-        per_slot = cells[block_key]
-        if set(per_slot) != set(slots):
-            excluded += 1
-            continue
-        complete_rows.append([sum(per_slot[s]) / len(per_slot[s]) for s in slots])
-    return slots, complete_rows, excluded
+    collapsed = table.collapsed()
+    picked = zip(map(pick, collapsed), collapsed.values())
+    _, rows, excluded = complete_units(
+        ((k[2:], slot_of[k[:2]], score) for k, score in picked), slots)
+    return slots, rows, excluded
 
 
 def version_difference_battery(table: ScoreTable, blocking=DEFAULT_BLOCKING) -> BatteryResult:

@@ -4,9 +4,10 @@ the run-directory writer and the prose parser.
 Deliberately built on different machinery than the engine: numpy/scipy
 ranking, exact rational arithmetic, brute-force enumeration, permutation
 resampling, the no-ties Spearman shortcut, full scans of the score table
-for every report aggregate, the concept block the golden questionnaire
-copy was written for, the two-step JSON writer (``to_doc`` then json's own pretty-printer) and
-the score parser as it was before its lines were prefiltered.  Nothing
+for every report aggregate and every statistics matrix, the concept block
+the golden questionnaire copy was written for, the two-step JSON writer
+(``to_doc`` then json's own pretty-printer) and the score parser as it
+was before its lines were prefiltered.  Nothing
 here imports from blindeval.stats, blindeval.report or blindeval.store.
 """
 
@@ -207,7 +208,7 @@ def battery_blocks_full_scan(table, blocking):
     """(slots, rows, excluded) of the version-difference battery: for each
     block (sorted) whose every treatment slot is scored, the mean per slot
     of the repeat-collapsed cells, scanning every row of the table for each
-    block and slot."""
+    block."""
     fields = {"case": "case_id", "role": "role_id", "model": "model_id", "dimension": "dimension"}
 
     def block_of(r):
@@ -216,11 +217,12 @@ def battery_blocks_full_scan(table, blocking):
     slots = sorted({table.slot_of[r.case_id, r.candidate_id] for r in table})
     rows, excluded = [], 0
     for block in sorted({block_of(r) for r in table}):
+        in_block = [r for r in table if block_of(r) == block]
         row = []
         for slot in slots:
             cells = {}
-            for r in table:
-                if block_of(r) == block and table.slot_of[r.case_id, r.candidate_id] == slot:
+            for r in in_block:
+                if table.slot_of[r.case_id, r.candidate_id] == slot:
                     cell = (r.case_id, r.role_id, r.model_id, r.candidate_id, r.dimension)
                     cells.setdefault(cell, []).append(r.score)
             if not cells:
@@ -232,6 +234,60 @@ def battery_blocks_full_scan(table, blocking):
         else:
             excluded += 1
     return slots, rows, excluded
+
+
+def cross_model_pairs_full_scan(table):
+    """(keys, x, y, excluded) of cross-model agreement: for each (case,
+    role, candidate, dimension) key (sorted) scored by both models, each
+    model's mean over repeats, scanning every row of the table for each key
+    and model; ``excluded`` counts the keys that only one model scored."""
+    model_a, model_b = sorted({r.model_id for r in table})
+
+    def key_of(r):
+        return (r.case_id, r.role_id, r.candidate_id, r.dimension)
+
+    keys, x, y, excluded = [], [], [], 0
+    for key in sorted({key_of(r) for r in table}):
+        means = []
+        for model in (model_a, model_b):
+            scores = [r.score for r in table if key_of(r) == key and r.model_id == model]
+            if scores:
+                means.append(sum(scores) / len(scores))
+        if len(means) == 2:
+            keys.append(key)
+            x.append(means[0])
+            y.append(means[1])
+        else:
+            excluded += 1
+    return keys, x, y, excluded
+
+
+def cross_role_means_full_scan(table, model_id):
+    """(roles, objects, matrix[role][object], excluded) of cross-role
+    agreement for one model: for each (case, candidate) object (sorted)
+    that every role of the model scored, each role's mean over dimensions
+    of the repeat-collapsed cells, scanning every row of the table for each
+    object and role; ``excluded`` counts the objects some role left out."""
+    rows = [r for r in table if r.model_id == model_id]
+    roles = sorted({r.role_id for r in rows})
+    objects, columns, excluded = [], [], 0
+    for obj in sorted({(r.case_id, r.candidate_id) for r in rows}):
+        column = []
+        for role in roles:
+            cells = {}
+            for r in rows:
+                if (r.case_id, r.candidate_id) == obj and r.role_id == role:
+                    cells.setdefault(r.dimension, []).append(r.score)
+            if cells:
+                means = [sum(v) / len(v) for v in cells.values()]
+                column.append(sum(means) / len(means))
+        if len(column) == len(roles):
+            objects.append(obj)
+            columns.append(column)
+        else:
+            excluded += 1
+    matrix = [[column[i] for column in columns] for i in range(len(roles))]
+    return roles, objects, matrix, excluded
 
 
 # --- the run-directory writer -------------------------------------------------

@@ -113,6 +113,26 @@ def test_blind_refuses_silent_rearrangement(run_dir, tmp_path, capsys):
     assert main(["-C", str(run_dir), "blind", "--seed", "10", "--force"]) == 0
 
 
+def test_blind_force_refuses_to_rekey_judged_cases(full_run, tmp_path, capsys):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    plans = {p.name: p.read_bytes() for p in (target / "blinding").iterdir()}
+    capsys.readouterr()
+    assert main(["-C", str(target), "blind", "--seed", "8", "--force"]) == 1
+    _single_error_line(capsys, "'case1'", "remove its records")
+    assert {p.name: p.read_bytes() for p in (target / "blinding").iterdir()} == plans
+    # with its records gone, a case may be re-blinded
+    for path in (target / "records").glob("case1_*.json"):
+        path.unlink()
+    assert main(["-C", str(target), "blind", "--seed", "8", "--force"]) == 1
+    _single_error_line(capsys, "'case2'")
+    assert {p.name: p.read_bytes() for p in (target / "blinding").iterdir()} == plans
+    for path in (target / "records").iterdir():
+        path.unlink()
+    assert main(["-C", str(target), "blind", "--seed", "8", "--force"]) == 0
+    assert (target / "blinding" / "case1.json").read_bytes() != plans["case1.json"]
+
+
 def test_blind_paper_layout_fixture(run_dir, tmp_path):
     _add_demo_cases(run_dir, tmp_path)
     assert main(["-C", str(run_dir), "blind", "--fixture", "paper-layout"]) == 0
@@ -195,6 +215,36 @@ def test_stats_and_report_on_demo_output(tmp_path, capsys):
 
     assert main(["-C", str(target), "report", "build"]) == 0
     assert (target / "report" / "report.md").exists()
+
+
+def test_stats_run_drops_the_units_an_incomplete_record_leaves_open(full_run, tmp_path, capsys):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    # a reply that missed one cell: the record the parser makes of it
+    path = target / "records" / "case1_R1_gpt.json"
+    record = json.loads(path.read_text(encoding="utf-8"))
+    del record["scores"]["1"]["Clarity"]
+    write_json(path, {**record, "complete": False})
+    results = target / "report" / "results.txt"
+
+    def lines(*argv):
+        assert main(["-C", str(target), "stats", "run", *argv]) == 0
+        text = results.read_text(encoding="utf-8")
+        return ([line for line in text.splitlines() if line.startswith(("spearman", "kendall"))],
+                {line[1:line.index("]")]: line for line in text.splitlines()
+                 if line.startswith("[")},
+                next(line for line in text.splitlines() if line.startswith("complete blocks")))
+
+    # the record is left out: its 20 cells lack a gpt score, and 4 objects its role
+    cross_model, cross_role, blocks = lines()
+    assert len(cross_model) == 2 and all("excluded=20" in line.split("  ") for line in cross_model)
+    assert "excluded=4" in cross_role["gpt"].split("  ") and "excluded" not in cross_role["gemini"]
+    assert blocks == "complete blocks: 115  excluded incomplete: 0"
+    # its 19 cells are used: one cell pair and one block go unmatched
+    cross_model, cross_role, blocks = lines("--include-incomplete")
+    assert len(cross_model) == 2 and all("excluded=1" in line.split("  ") for line in cross_model)
+    assert not any("excluded" in line for line in cross_role.values())
+    assert blocks == "complete blocks: 119  excluded incomplete: 1"
 
 
 def test_stats_run_single_model_skips_agreement(run_dir, tmp_path, capsys):

@@ -47,7 +47,7 @@ def test_insertion_order_preserved():
     corpus = Corpus()
     for cid in ("zz", "aa", "mm"):
         corpus.add(make_case(cid))
-    assert corpus.case_ids() == ["zz", "aa", "mm"]
+    assert [c.id for c in corpus] == ["zz", "aa", "mm"]
 
 
 def test_validate_clean_corpus(corpus):
@@ -118,7 +118,7 @@ def test_roundtrip_preserves_all_fields(corpus, tmp_path):
     for case in corpus:
         save_case(case, tmp_path)
     loaded = load_corpus(tmp_path)
-    assert loaded.case_ids() == sorted(corpus.case_ids())
+    assert [c.id for c in loaded] == sorted(c.id for c in corpus)
     for case in corpus:
         assert loaded.get(case.id) == case
 

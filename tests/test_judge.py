@@ -65,7 +65,9 @@ def test_records_complete_and_persisted(corpus, roles, plans, tmp_path):
     assert len(files) == 24
 
 
-def test_failing_provider_isolated(corpus, roles, plans, tmp_path):
+def _grid_with_one_broken_call(corpus, roles, plans, tmp_path, broken_reply):
+    """A serial mock grid whose fifth gpt call gets ``broken_reply``; its
+    jobs and records."""
     seed = 7
     transports = {
         "gpt": provider.make_mock_transport(mix_seed(seed, "mock-provider", "gpt")),
@@ -73,14 +75,11 @@ def test_failing_provider_isolated(corpus, roles, plans, tmp_path):
     }
     calls = {"n": 0}
 
-    def flaky(config, request_text, api_key):
+    def broken_gpt(config, request_text, api_key):
         calls["n"] += 1
         if calls["n"] == 5:  # exactly one grid cell dies
-            return 500, "permanently broken"
+            return broken_reply
         return transports["gpt"](config, request_text, api_key)
-
-    def broken_gpt(config, request_text, api_key):
-        return flaky(config, request_text, api_key)
 
     ctx = judge.JudgeContext(
         corpus=corpus, plans=plans, roles=roles,
@@ -94,13 +93,30 @@ def test_failing_provider_isolated(corpus, roles, plans, tmp_path):
     )
     (tmp_path / "records").mkdir()
     jobs = judge.plan_grid(corpus, sorted(roles), ["gpt", "gemini"], plans)
-    records = judge.run_grid(jobs, ctx, concurrency_limit=1)
+    return jobs, judge.run_grid(jobs, ctx, concurrency_limit=1)
+
+
+def test_failing_provider_isolated(corpus, roles, plans, tmp_path):
+    jobs, records = _grid_with_one_broken_call(corpus, roles, plans, tmp_path,
+                                               (500, "permanently broken"))
     failed = [j for j in jobs if j.status == judge.STATUS_FAILED]
     assert len(failed) == 1
     assert "TransportError" in failed[0].failure
     assert len(records) == 23
     # record count + failure count = job count
     assert len(records) + len(failed) == len(jobs)
+
+
+def test_null_content_reply_fails_only_its_job(corpus, roles, plans, tmp_path):
+    # hosted APIs answer a refused or filtered request with null content
+    refused = json.dumps({"choices": [{"message": {"content": None}}]})
+    jobs, records = _grid_with_one_broken_call(corpus, roles, plans, tmp_path, (200, refused))
+    failed = [j for j in jobs if j.status == judge.STATUS_FAILED]
+    assert len(failed) == 1
+    assert "TransportError" in failed[0].failure and "malformed" in failed[0].failure
+    assert len(records) == 23
+    # the refused call leaves no transcript behind
+    assert len(list((tmp_path / "transcripts").glob("*.json"))) == 23
 
 
 def test_resume_runs_only_pending_jobs(corpus, roles, plans, tmp_path):

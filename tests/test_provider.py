@@ -143,6 +143,14 @@ def test_malformed_body_is_a_transport_error(tmp_path):
                  transport=lambda *a: (200, "not json"), store=TranscriptStore(tmp_path))
 
 
+@pytest.mark.parametrize("content", [None, 3, ["x"]], ids=["null", "number", "list"])
+def test_non_string_content_is_a_transport_error_and_leaves_no_transcript(tmp_path, content):
+    with pytest.raises(TransportError, match="malformed"):
+        complete(mock_config("p"), [{"role": "user", "content": "x"}],
+                 transport=lambda *a: (200, _ok_body(content)), store=TranscriptStore(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- mock judge ------------------------------------------------------------------
 
 

@@ -6,19 +6,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from blindeval.errors import DegenerateInputError, StatsError
 from blindeval.scoretable import ScoreRow, ScoreTable, slot_map_from_corpus
-from blindeval.stats import (average_ranks, battery_blocks, bonferroni, cross_model_agreement,
-                             cross_role_agreement, friedman, kendall_w, model_paired_scores,
-                             role_object_means, spearman_rho, version_difference_battery,
+from blindeval.stats import (DEFAULT_BLOCKING, average_ranks, battery_blocks, bonferroni,
+                             complete_units, cross_model_agreement, cross_role_agreement,
+                             friedman, kendall_w, spearman_rho, version_difference_battery,
                              wilcoxon_signed_rank)
 from concordance_fixtures import RATINGS_W073, RATINGS_W078
-from oracles import (battery_blocks_full_scan, brute_force_ranks, friedman_chi2_exact,
-                     friedman_permutation_p, kendall_w_oracle, rank_then_pearson,
-                     spearman_rho_shortcut, wilcoxon_exact_two_sided)
+from oracles import (battery_blocks_full_scan, brute_force_ranks, cross_model_pairs_full_scan,
+                     cross_role_means_full_scan, friedman_chi2_exact, friedman_permutation_p,
+                     kendall_w_oracle, rank_then_pearson, spearman_rho_shortcut,
+                     wilcoxon_exact_two_sided)
 
 
 # --- average_ranks -----------------------------------------------------------------
@@ -363,17 +364,30 @@ def test_cross_model_unpaired_cells_listed():
                       lambda c, r, m, ci, di: 1 + (ci + di) % 5)
     rows = [r for r in rows if not (r.model_id == "m2" and r.dimension == "Clarity"
                                     and r.candidate_id == "a")]
-    with pytest.raises(StatsError, match="unpaired"):
-        cross_model_agreement(ScoreTable(rows))
+    result = cross_model_agreement(ScoreTable(rows))
+    for test in (result.spearman, result.kendall):
+        assert test.n_objects == 9      # the 10 cells less the one m2 left out
+        assert test.extras["excluded"] == 1
+
+
+def test_complete_units_keeps_units_scored_in_every_column():
+    cells = [("u2", "a", 1), ("u1", "b", 4), ("u1", "a", 2), ("u3", "a", 5),
+             ("u2", "b", 3), ("u1", "a", 3), ("u2", "c", 1)]
+    units, rows, excluded = complete_units(cells, ["a", "b"])
+    assert units == ["u1", "u2"]
+    assert rows == [[2.5, 4.0], [1.0, 3.0]]
+    assert excluded == 1                # u3 has no "b"
 
 
 def test_cross_model_matches_oracle_on_mock_grid(mock_table):
-    model_a, model_b, keys, x, y = model_paired_scores(mock_table)
-    assert (model_a, model_b) == ("gemini", "gpt")
+    keys, x, y, excluded = cross_model_pairs_full_scan(mock_table)
     assert len(keys) == 4 * 3 * 4 * 5  # case x role x candidate x dimension
+    assert excluded == 0
     result = cross_model_agreement(mock_table)
     assert result.spearman.statistic == pytest.approx(rank_then_pearson(x, y), abs=1e-12)
     assert result.kendall.statistic == pytest.approx(max(0.0, kendall_w_oracle([x, y])), abs=1e-12)
+    # a complete grid reports no excluded count
+    assert "excluded" not in result.spearman.extras and "excluded" not in result.kendall.extras
 
 
 def test_cross_role_identical_object_means_w_one():
@@ -392,9 +406,11 @@ def test_cross_role_reference_geometry(mock_table):
 
 
 def test_cross_role_matches_oracle_recomputation(mock_table):
-    roles, objects, matrix = role_object_means(mock_table, "gemini")
+    roles, objects, matrix, excluded = cross_role_means_full_scan(mock_table, "gemini")
+    assert (len(roles), len(objects), excluded) == (3, 16, 0)
     result = cross_role_agreement(mock_table, "gemini")
     assert result.statistic == pytest.approx(max(0.0, kendall_w_oracle(matrix)), abs=1e-12)
+    assert "excluded" not in result.extras
 
 
 def test_cross_role_needs_two_roles():
@@ -506,6 +522,42 @@ def test_battery_blocks_match_full_scan_oracle(battery_table, blocking):
     assert battery.n_blocks == len(oracle_rows)
     assert battery.excluded_blocks == oracle_excluded
     assert battery.friedman.statistic == pytest.approx(friedman(oracle_rows).statistic, rel=1e-12)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_statistic_follows_listwise_deletion(mock_table, corpus, data):
+    # the mock grid with random cells dropped and random cells repeated
+    rows = list(mock_table)
+    index = st.integers(0, len(rows) - 1)
+    dropped = data.draw(st.sets(index, max_size=40), label="dropped")
+    repeated = data.draw(st.sets(index, max_size=40), label="repeated")
+    kept = [r for i, r in enumerate(rows) if i not in dropped]
+    repeats = [rows[i]._replace(score=rows[i].score % 5 + 1, repeat=1) for i in repeated]
+    table = ScoreTable(kept + repeats, slot_map_from_corpus(corpus))
+
+    keys, x, y, excluded = cross_model_pairs_full_scan(table)
+    cross_model = cross_model_agreement(table)
+    for result in (cross_model.spearman, cross_model.kendall):
+        assert result.n_objects == len(keys)
+        assert result.extras.get("excluded", 0) == excluded
+    assert cross_model.spearman.statistic == pytest.approx(rank_then_pearson(x, y), abs=1e-12)
+    assert cross_model.kendall.statistic == pytest.approx(max(0.0, kendall_w_oracle([x, y])),
+                                                          abs=1e-12)
+
+    for model in table.model_ids():
+        _, objects, matrix, excluded = cross_role_means_full_scan(table, model)
+        result = cross_role_agreement(table, model)
+        assert result.n_objects == len(objects)
+        assert result.extras.get("excluded", 0) == excluded
+        assert result.statistic == pytest.approx(max(0.0, kendall_w_oracle(matrix)), abs=1e-12)
+
+    _, blocks, excluded = battery_blocks_full_scan(table, DEFAULT_BLOCKING)
+    battery = version_difference_battery(table)
+    assert (battery.n_blocks, battery.excluded_blocks) == (len(blocks), excluded)
+    assert battery.friedman.statistic == pytest.approx(float(friedman_chi2_exact(blocks)),
+                                                       rel=1e-12)
 
 
 def test_permutation_symmetry_of_friedman(mock_table, corpus):
