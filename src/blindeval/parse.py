@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .persona import BLOCKS, DIMENSIONS
+from .persona import DIMENSIONS
 
 
 class FencedBlockMissing(ParseError):
@@ -171,34 +171,3 @@ def parse_evaluation(response_text: str, k: int) -> tuple[ParsedEvaluation, str]
         return parse_fenced(response_text, k), "fenced"
     except FencedBlockMissing:
         return parse_prose(response_text, k), "prose_fallback"
-
-
-# --- interview segmentation -----------------------------------------------------
-
-def _heading_pattern(heading: str) -> re.Pattern:
-    words = r"\s+".join(re.escape(w) for w in heading.split())  # words may wrap across lines
-    return re.compile(
-        rf"(?im)^[#*\s]*(?:(?:block|section|task|part|question|q)\s*)?"
-        rf"(?:\d+|one|two|three|four|five|six)?\s*[.):\-]*\s*{words}\s*[:.]?\s*$")
-
-
-_BLOCK_PATTERNS = [(block.block_id, _heading_pattern(block.heading)) for block in BLOCKS]
-
-
-def segment_interview(response_text: str) -> dict[str, str]:
-    """Split a response into the six questionnaire blocks.
-
-    Keys on the block headings with fuzzy numbering (digits, number
-    words, or none), one search each over the whole text; a repeated
-    heading counts at its first occurrence.  Blocks a judge skipped are
-    simply absent.  A record's interview is this split of its transcript.
-    """
-    found = sorted((m.start(), m.end(), block_id) for block_id, pattern in _BLOCK_PATTERNS
-                   if (m := pattern.search(response_text)))
-    fence = _FENCE_RE.search(response_text)
-    tail = fence.start() if fence else len(response_text)
-    blocks: dict[str, str] = {}
-    for idx, (start, end, block_id) in enumerate(found):
-        stop = found[idx + 1][0] if idx + 1 < len(found) else tail
-        blocks[block_id] = response_text[end:stop].strip("\n").strip()
-    return blocks

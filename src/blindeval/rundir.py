@@ -3,16 +3,22 @@
 No database; a run is a diffable tree of JSON/CSV/text files.  The
 manifest pins a schema version (commands refuse to mix versions) and the
 global seed all randomness flows from.  A lock file serializes CLI
-invocations against the same run.
+invocations against the same run.  Two trees are compared one normalized
+file pair at a time (``trees_identical``); ``snapshot`` collects a whole
+normalized tree for a digest.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import RunDirectoryError
@@ -114,8 +120,9 @@ def _scrub(value):
     return value
 
 
-def snapshot(root: Path) -> dict[str, str]:
-    """Map of relative path -> normalized content for tree comparison.
+def normalized_files(root: Path) -> Iterator[tuple[str, str]]:
+    """Yield (relative path, normalized content) for every file of a tree,
+    in order of path string, reading one file at a time.
 
     JSON files are re-serialized canonically with volatile keys
     (timestamps, latencies) replaced; other files compare byte-for-byte,
@@ -123,24 +130,43 @@ def snapshot(root: Path) -> dict[str, str]:
     this way raises RunDirectoryError naming it.
     """
     root = Path(root)
-    out: dict[str, str] = {}
-    for path in sorted(root.rglob("*")):
+    for path in sorted(root.rglob("*"), key=str):
         if not path.is_file() or path.name == LOCK_NAME:
             continue
-        rel = str(path.relative_to(root))
         if path.suffix == ".json":
-            out[rel] = json.dumps(_scrub(read_json(path)), ensure_ascii=False, sort_keys=True)
+            text = json.dumps(_scrub(read_json(path)), ensure_ascii=False, sort_keys=True)
         else:
             try:
-                out[rel] = path.read_bytes().decode("utf-8")
+                text = path.read_bytes().decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise RunDirectoryError(f"cannot read {path}: {exc}") from None
-    return out
+        yield str(path.relative_to(root)), text
+
+
+def snapshot(root: Path) -> dict[str, str]:
+    """The whole normalized tree as one map of relative path -> content:
+    the form a tree digest is taken of.  Comparing two trees does not
+    need it; see trees_identical."""
+    return dict(normalized_files(root))
 
 
 def trees_identical(a: Path, b: Path) -> tuple[bool, list[str]]:
-    snap_a = snapshot(a)
-    snap_b = snapshot(b)
-    diffs = sorted(set(snap_a) ^ set(snap_b))
-    diffs += sorted(k for k in set(snap_a) & set(snap_b) if snap_a[k] != snap_b[k])
+    """Compare two trees under normalized_files, one file pair at a time.
+
+    Holds the two trees' path lists and one normalized file of each, never
+    a whole tree.  Every file of both trees is normalized, so an unreadable
+    file raises even where it is one-sided or the same on both sides.
+    Returns the sorted one-sided paths, then the sorted differing paths.
+    """
+    one_sided: list[str] = []
+    differing: list[str] = []
+    merged = heapq.merge(normalized_files(a), normalized_files(b), key=itemgetter(0))
+    for path, files in groupby(merged, key=itemgetter(0)):
+        texts = [text for _, text in files]
+        if len(texts) == 1:
+            one_sided.append(path)
+        elif texts[0] != texts[1]:
+            differing.append(path)
+    # both walks run in path order, so each list is already sorted
+    diffs = one_sided + differing
     return (not diffs), diffs

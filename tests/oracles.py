@@ -6,9 +6,11 @@ ranking, exact rational arithmetic, brute-force enumeration, permutation
 resampling, the no-ties Spearman shortcut, full scans of the score table
 for every report aggregate and every statistics matrix, the concept block
 the golden questionnaire copy was written for, the two-step JSON writer
-(``to_doc`` then json's own pretty-printer) and the score parser as it
-was before its lines were prefiltered.  Nothing
-here imports from blindeval.stats, blindeval.report or blindeval.store.
+(``to_doc`` then json's own pretty-printer), the tree comparison as it was
+when it held both trees whole, the score parser as it was before its lines
+were prefiltered, and the heading splitter that reads a judge's reply as
+the six questionnaire blocks.  Nothing here imports from blindeval.stats,
+blindeval.report or blindeval.store.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from scipy.stats import rankdata
 
 from blindeval.errors import ParseError
 from blindeval.parse import FencedBlockMissing, ParsedEvaluation
+from blindeval.persona import BLOCKS
+from blindeval.rundir import snapshot
 from blindeval.scoretable import CSV_COLUMNS, ScoreRow, ScoreTable
 
 #: Block-1 concept list of the canonical questionnaire, as the golden copy
@@ -314,6 +318,15 @@ def canonical_json(obj) -> str:
     return json.dumps(to_doc(obj), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
+def trees_identical_by_snapshot(a, b):
+    """Tree comparison over both trees' whole snapshots, held at once."""
+    snap_a = snapshot(a)
+    snap_b = snapshot(b)
+    diffs = sorted(set(snap_a) ^ set(snap_b))
+    diffs += sorted(k for k in set(snap_a) & set(snap_b) if snap_a[k] != snap_b[k])
+    return (not diffs), diffs
+
+
 # --- the score parser, every regex tried on every line ---------------------------
 
 _DIM_PATTERNS = {
@@ -419,3 +432,33 @@ def _parse_prose(response_text: str, k: int) -> ParsedEvaluation:
         scores.setdefault(label, {})[dim] = next(iter(values))
     return ParsedEvaluation(scores=scores, warnings=warnings)
 
+
+# --- the interview splitter ---------------------------------------------------------
+
+def _heading_pattern(heading: str) -> re.Pattern:
+    words = r"\s+".join(re.escape(w) for w in heading.split())  # words may wrap across lines
+    return re.compile(
+        rf"(?im)^[#*\s]*(?:(?:block|section|task|part|question|q)\s*)?"
+        rf"(?:\d+|one|two|three|four|five|six)?\s*[.):\-]*\s*{words}\s*[:.]?\s*$")
+
+
+_BLOCK_PATTERNS = [(block.block_id, _heading_pattern(block.heading)) for block in BLOCKS]
+
+
+def segment_interview(response_text: str) -> dict[str, str]:
+    """Split a response into the six questionnaire blocks.
+
+    Keys on the block headings with fuzzy numbering (digits, number
+    words, or none), one search each over the whole text; a repeated
+    heading counts at its first occurrence.  Blocks a judge skipped are
+    simply absent.
+    """
+    found = sorted((m.start(), m.end(), block_id) for block_id, pattern in _BLOCK_PATTERNS
+                   if (m := pattern.search(response_text)))
+    fence = _FENCE_RE.search(response_text)
+    tail = fence.start() if fence else len(response_text)
+    blocks: dict[str, str] = {}
+    for idx, (start, end, block_id) in enumerate(found):
+        stop = found[idx + 1][0] if idx + 1 < len(found) else tail
+        blocks[block_id] = response_text[end:stop].strip("\n").strip()
+    return blocks

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from blindeval.cli import main
 from blindeval.errors import ParseError
-from blindeval.parse import (FencedBlockMissing, parse_evaluation, parse_fenced, parse_prose,
-                             segment_interview)
+from blindeval.parse import FencedBlockMissing, parse_evaluation, parse_fenced, parse_prose
 from blindeval.persona import BLOCKS, DIMENSIONS
 from blindeval.provider import mock_judge_response
 
@@ -38,7 +37,7 @@ def test_well_formed_mock_round_trip():
     parsed = parse_fenced(response, 4)
     assert cell_count(parsed) == 20
     assert parsed.is_complete(4)
-    assert len(segment_interview(response)) == 6
+    assert len(oracles.segment_interview(response)) == 6
     assert parsed.warnings == []
 
 
@@ -156,7 +155,7 @@ def test_parsing_is_pure():
 
 
 def test_segments_six_blocks_from_mock():
-    blocks = segment_interview(mock_judge_response(5, PROMPT_K4))
+    blocks = oracles.segment_interview(mock_judge_response(5, PROMPT_K4))
     assert sorted(blocks) == ["cognitive_load", "confidence", "preference",
                               "restatement", "transferability", "understanding"]
     assert "translation 1" in blocks["understanding"]
@@ -182,7 +181,7 @@ the second one
 Transferability of theory to clinical practice
 daily practice notes
 """
-    blocks = segment_interview(text)
+    blocks = oracles.segment_interview(text)
     assert len(blocks) == 6
     assert blocks["restatement"] == "my restatement here"
     assert blocks["transferability"] == "daily practice notes"
@@ -190,12 +189,12 @@ daily practice notes
 
 def test_scores_fence_excluded_from_last_block():
     text = "6. Transferability of theory to clinical practice\nthoughts\n\n```scores\nClarity[1]=4\n```"
-    blocks = segment_interview(text)
+    blocks = oracles.segment_interview(text)
     assert blocks["transferability"] == "thoughts"
 
 
 def test_skipped_blocks_absent():
-    blocks = segment_interview("3. Cognitive load\nhard to say")
+    blocks = oracles.segment_interview("3. Cognitive load\nhard to say")
     assert list(blocks) == ["cognitive_load"]
 
 
@@ -212,7 +211,7 @@ def test_repeated_heading_counts_at_its_first_match():
     # the second "Cognitive load" line's match takes the ":" line with it,
     # but the search for "Confidence" starts a match on that line
     text = "Cognitive load\nCognitive load\n:\nConfidence\tin \n  understanding"
-    assert segment_interview(text) == {"cognitive_load": "Cognitive load", "confidence": ""}
+    assert oracles.segment_interview(text) == {"cognitive_load": "Cognitive load", "confidence": ""}
 
 
 # --- differential: the prefiltered parser against every regex on every line -----
@@ -345,6 +344,6 @@ interviews = st.one_of(
 @example("Degree of understanding\nand points of confusion:\n\n\nConcept restatement and meaning "
          "construction\n```scores\n3. Cognitive load\n```\nConfidence in understanding\nsure")
 def test_segmentation_never_crashes(text):
-    blocks = segment_interview(text)
+    blocks = oracles.segment_interview(text)
     assert set(blocks) <= {block.block_id for block in BLOCKS}
     assert all(body == body.strip() for body in blocks.values())
