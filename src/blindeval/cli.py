@@ -342,9 +342,10 @@ def _build_table(run: RunDirectory, include_incomplete: bool = False):
     corpus = load_corpus(run.path("cases"))
     plans = blinding.load_plans(run.path("blinding"))
     records = judge.RecordStore(run.path("records")).load_all()
-    if not records:
-        raise ValidationError("no evaluation records; run evaluate first")
     table = table_from_records(records, plans, corpus, include_incomplete=include_incomplete)
+    if not len(table):
+        raise ValidationError("no evaluation records with scores to analyze; run evaluate first "
+                              "(incomplete records count only in stats run --include-incomplete)")
     return table, corpus, plans
 
 
@@ -372,16 +373,7 @@ def cmd_stats(run: RunDirectory, args) -> int:
         print(f"wrote {path} ({len(table)} rows)")
         return 0
     table, _, _ = _build_table(run, include_incomplete=args.include_incomplete)  # run
-    blocking = tuple(b for b in args.blocking.split(",") if b)
-    cross_model = None
-    if len(table.model_ids()) == 2:
-        cross_model = stats.cross_model_agreement(table)
-    cross_role = {}
-    for model_id in table.model_ids():
-        if len({r.role_id for r in table if r.model_id == model_id}) >= 2:
-            cross_role[model_id] = stats.cross_role_agreement(table, model_id)
-    battery = stats.version_difference_battery(table, blocking)
-    text = report.results_text(cross_model, cross_role, battery)
+    text = report.results_text(table, tuple(b for b in args.blocking.split(",") if b))
     path = write_text(run.path("report") / "results.txt", text)
     print(f"wrote {path}")
     print(text, end="")

@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import stats
 from .corpus import Corpus
-from .errors import ValidationError
+from .errors import StatsError, ValidationError
 from .persona import DIMENSIONS
 from .scoretable import ScoreTable
-from .stats import BatteryResult, TestResult
 from .store import csv_text, write_text
 
 #: Reference values reported by the source study; the raw per-rating data
@@ -50,8 +50,6 @@ class RoleSummary:
 
 def radar_data(table: ScoreTable) -> list[DimensionSummary]:
     """Mean/min/max per (dimension, candidate slot) over all raw scores."""
-    if not len(table):
-        raise ValidationError("empty score table")
     groups: dict[tuple[str, str], list[int]] = {}
     slot_of = table.slot_of
     for row in table:
@@ -76,8 +74,6 @@ def radar_data(table: ScoreTable) -> list[DimensionSummary]:
 
 def role_range_data(table: ScoreTable) -> list[RoleSummary]:
     """Mean and range (max - min) per (role, candidate slot)."""
-    if not len(table):
-        raise ValidationError("empty score table")
     groups: dict[tuple[str, str], list[int]] = {}
     slot_of = table.slot_of
     for row in table:
@@ -156,7 +152,7 @@ def case_csv(rows: list[CaseTableRow]) -> str:
                     [(r.candidate_id, r.slot, _fmt(r.mean), r.mean_display, r.n) for r in rows])
 
 
-def format_test_result(result: TestResult) -> str:
+def format_test_result(result: stats.TestResult) -> str:
     parts = [f"{result.test_name}: statistic={_fmt(result.statistic)}",
              f"p={_fmt(result.p_value)}"]
     if result.df is not None:
@@ -181,36 +177,45 @@ def _significance_mark(p: float) -> str:
     return ""
 
 
-def results_text(
-    cross_model,                       # AgreementResult | None
-    cross_role: dict[str, TestResult],
-    battery: BatteryResult,
-) -> str:
-    lines = ["# statistics results", ""]
-    lines.append("## cross-model agreement")
-    if cross_model is None:
-        lines.append("(needs exactly two models; skipped)")
-    else:
-        lines.append(format_test_result(cross_model.spearman))
-        lines.append(format_test_result(cross_model.kendall))
-    lines.append("")
-    lines.append("## cross-role agreement (judges = roles, objects = case x candidate means)")
-    for model_id in sorted(cross_role):
-        lines.append(f"[{model_id}] " + format_test_result(cross_role[model_id]))
-    lines.append("")
-    lines.append(f"## version differences (blocking: {', '.join(battery.blocking)})")
-    lines.append(f"treatments: {', '.join(battery.treatments)}")
-    lines.append(f"complete blocks: {battery.n_blocks}  excluded incomplete: {battery.excluded_blocks}")
-    lines.append(format_test_result(battery.friedman) + _significance_mark(battery.friedman.p_value))
-    lines.append(f"pairwise Wilcoxon, Bonferroni family = {battery.family_size}:")
+def _battery_lines(battery: stats.BatteryResult) -> list[str]:
+    lines = [f"treatments: {', '.join(battery.treatments)}",
+             f"complete blocks: {battery.n_blocks}  excluded incomplete: {battery.excluded_blocks}",
+             format_test_result(battery.friedman) + _significance_mark(battery.friedman.p_value),
+             f"pairwise Wilcoxon, Bonferroni family = {battery.family_size}:"]
     for pair in battery.pairwise:
         if pair.result is None:
             lines.append(f"  {pair.slot_a} vs {pair.slot_b}: degenerate ({pair.note})")
         else:
             mark = _significance_mark(pair.result.reported_p)
             lines.append(f"  {pair.slot_a} vs {pair.slot_b}: " + format_test_result(pair.result) + mark)
-    lines.append("")
-    lines.append("significance flags: * p<0.05, ** p<0.01 (adjusted p where a correction applies)")
+    return lines
+
+
+def results_text(table: ScoreTable, blocking: tuple[str, ...]) -> str:
+    """Cross-model agreement, cross-role agreement per model and the
+    version-difference battery, each computed on its own: a statistic that
+    raises StatsError is written as ``<statistic>: skipped (<reason>)`` and
+    the others are still written."""
+    def section(name, lines_of):
+        try:
+            return lines_of()
+        except StatsError as exc:
+            return [f"{name}: skipped ({exc})"]
+
+    def cross_model():
+        result = stats.cross_model_agreement(table)
+        return [format_test_result(result.spearman), format_test_result(result.kendall)]
+
+    lines = ["# statistics results", "", "## cross-model agreement"]
+    lines += section("cross_model_agreement", cross_model)
+    lines += ["", "## cross-role agreement (judges = roles, objects = case x candidate means)"]
+    for model_id in table.model_ids():
+        lines += [f"[{model_id}] {line}" for line in section("cross_role_agreement", lambda: [
+            format_test_result(stats.cross_role_agreement(table, model_id))])]
+    lines += ["", f"## version differences (blocking: {', '.join(blocking)})"]
+    lines += section("version_difference_battery",
+                     lambda: _battery_lines(stats.version_difference_battery(table, blocking)))
+    lines += ["", "significance flags: * p<0.05, ** p<0.01 (adjusted p where a correction applies)"]
     return "\n".join(lines) + "\n"
 
 

@@ -28,6 +28,9 @@ Conventions
   every matrix over a ScoreTable and keeps only the units scored in every
   column.  The units dropped are counted: ``excluded=N`` in an agreement
   result's extras (shown only when N > 0), ``excluded_blocks`` in the battery.
+* A ``StatsError`` means the table cannot support the statistic, and
+  ``stats run`` writes it as a skip line; a malformed argument, such as an
+  unknown blocking field, is a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 
-from .errors import DegenerateInputError, StatsError
+from .errors import DegenerateInputError, StatsError, ValidationError
 from .scoretable import ScoreTable
 from .special import chi2_sf, normal_sf, student_t_two_sided
 
@@ -376,8 +379,8 @@ def battery_blocks(table: ScoreTable, blocking=DEFAULT_BLOCKING):
     """Group collapsed scores into blocks x treatment-slot matrices."""
     unknown = [b for b in blocking if b not in _BLOCK_FIELDS]
     if unknown:
-        raise StatsError(f"unknown blocking fields: {', '.join(unknown)}; "
-                         f"allowed: {', '.join(sorted(_BLOCK_FIELDS))}")
+        raise ValidationError(f"unknown blocking fields: {', '.join(unknown)}; "
+                              f"allowed: {', '.join(sorted(_BLOCK_FIELDS))}")
     # (case, candidate, *blocking fields): a tuple for any number of fields,
     # so k[:2] names the slot and k[2:] is the block key
     pick = operator.itemgetter(0, 3, *(_BLOCK_FIELDS[b] for b in blocking))

@@ -253,9 +253,77 @@ def test_stats_run_single_model_skips_agreement(run_dir, tmp_path, capsys):
     assert main(["-C", str(run_dir), "blind"]) == 0
     assert main(["-C", str(run_dir), "evaluate", "--roles", "R1", "--models", "gpt", "--mock"]) == 0
     assert main(["-C", str(run_dir), "stats", "run"]) == 0
-    results = (run_dir / "report" / "results.txt").read_text()
-    assert "needs exactly two models; skipped" in results
-    assert "friedman" in results  # battery still runs on 20 blocks
+    results = (run_dir / "report" / "results.txt").read_text().splitlines()
+    assert ("cross_model_agreement: skipped "
+            "(cross-model agreement needs exactly 2 models, table has 1)") in results
+    assert "[gpt] cross_role_agreement: skipped (model 'gpt' has 1 role(s); need at least 2)" in results
+    assert "complete blocks: 20  excluded incomplete: 0" in results  # the battery still runs
+
+
+def test_stats_run_writes_each_section_the_grid_supports(run_dir, tmp_path, capsys):
+    # the two models share no cell and gemini has one role, yet the battery
+    # has complete blocks
+    _add_demo_cases(run_dir, tmp_path)
+    _write_fixture_assets(run_dir)
+    assert main(["-C", str(run_dir), "blind"]) == 0
+    assert main(["-C", str(run_dir), "evaluate", "--roles", "R1,R2", "--models", "gpt", "--mock"]) == 0
+    assert main(["-C", str(run_dir), "evaluate", "--roles", "R3", "--models", "gemini", "--mock"]) == 0
+    capsys.readouterr()
+    assert main(["-C", str(run_dir), "stats", "run"]) == 0
+    assert capsys.readouterr().err == ""
+    text = (run_dir / "report" / "results.txt").read_text()
+    assert ("## cross-model agreement\n"
+            "cross_model_agreement: skipped (need n >= 3 pairs, got 0)\n") in text
+    results = text.splitlines()
+    assert "[gemini] cross_role_agreement: skipped (model 'gemini' has 1 role(s); need at least 2)" in results
+    assert any(line.startswith("[gpt] kendall_w: ") and "m=2" in line.split("  ") for line in results)
+    assert "complete blocks: 60  excluded incomplete: 0" in results
+    assert any(line.startswith("friedman: statistic=") for line in results)
+    assert sum(line.startswith("  ") and "bonferroni(family=6)" in line for line in results) == 6
+
+
+def test_stats_run_with_one_block_skips_only_the_battery(full_run, tmp_path, capsys):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    results = target / "report" / "results.txt"
+
+    def agreement_and_battery(*argv):
+        assert main(["-C", str(target), "stats", "run", *argv]) == 0
+        text = results.read_text(encoding="utf-8")
+        return text.split("## version differences")
+
+    agreement, battery = agreement_and_battery("--blocking", "")
+    assert battery.splitlines()[:2] == [
+        " (blocking: )", "version_difference_battery: skipped (need at least 2 blocks, got 1)"]
+    assert agreement == agreement_and_battery()[0]
+    assert "skipped" not in agreement
+
+
+def test_an_unknown_blocking_field_is_a_single_line_error(full_run, tmp_path, capsys):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    before = (target / "report" / "results.txt").read_bytes()
+    capsys.readouterr()
+    assert main(["-C", str(target), "stats", "run", "--blocking", "case,banana"]) == 1
+    _single_error_line(capsys, "error: ValidationError", "unknown blocking fields: banana")
+    assert (target / "report" / "results.txt").read_bytes() == before
+
+
+def test_a_table_of_incomplete_records_is_one_error_for_every_analysis_verb(full_run, tmp_path,
+                                                                           capsys):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    (target / "report" / "results.txt").unlink()
+    (target / "report" / "scores.csv").unlink()
+    for path in (target / "records").glob("*.json"):
+        write_json(path, {**json.loads(path.read_text(encoding="utf-8")), "complete": False})
+    for verb in (["stats", "export"], ["stats", "run"], ["report", "build"]):
+        capsys.readouterr()
+        assert main(["-C", str(target), *verb]) == 1
+        _single_error_line(capsys, "error: ValidationError", "no evaluation records")
+    assert not (target / "report" / "scores.csv").exists()
+    assert main(["-C", str(target), "stats", "run", "--include-incomplete"]) == 0
+    assert "complete blocks: 120" in (target / "report" / "results.txt").read_text()
 
 
 def test_demo_runs_are_byte_identical_modulo_timestamps(tmp_path):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from blindeval.errors import DegenerateInputError, StatsError
+from blindeval.errors import DegenerateInputError, StatsError, ValidationError
+from blindeval.report import format_test_result, results_text
 from blindeval.scoretable import ScoreRow, ScoreTable, slot_map_from_corpus
 from blindeval.stats import (DEFAULT_BLOCKING, average_ranks, battery_blocks, bonferroni,
                              complete_units, cross_model_agreement, cross_role_agreement,
@@ -489,7 +490,7 @@ def test_battery_blocking_scheme_configurable(mock_table):
     coarse = version_difference_battery(mock_table, blocking=("case", "role", "model"))
     assert default.n_blocks == 120
     assert coarse.n_blocks == 24
-    with pytest.raises(StatsError, match="unknown blocking"):
+    with pytest.raises(ValidationError, match="unknown blocking"):
         version_difference_battery(mock_table, blocking=("case", "banana"))
 
 
@@ -528,36 +529,59 @@ def test_battery_blocks_match_full_scan_oracle(battery_table, blocking):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_every_statistic_follows_listwise_deletion(mock_table, corpus, data):
-    # the mock grid with random cells dropped and random cells repeated
+    # the mock grid with whole models, whole roles and random cells dropped,
+    # and random cells repeated
     rows = list(mock_table)
     index = st.integers(0, len(rows) - 1)
+    models = data.draw(st.sets(st.sampled_from(mock_table.model_ids())), label="dropped models")
+    roles = data.draw(st.sets(st.sampled_from(mock_table.role_ids())), label="dropped roles")
     dropped = data.draw(st.sets(index, max_size=40), label="dropped")
     repeated = data.draw(st.sets(index, max_size=40), label="repeated")
     kept = [r for i, r in enumerate(rows) if i not in dropped]
     repeats = [rows[i]._replace(score=rows[i].score % 5 + 1, repeat=1) for i in repeated]
-    table = ScoreTable(kept + repeats, slot_map_from_corpus(corpus))
+    table = ScoreTable([r for r in kept + repeats
+                        if r.model_id not in models and r.role_id not in roles],
+                       slot_map_from_corpus(corpus))
 
-    keys, x, y, excluded = cross_model_pairs_full_scan(table)
-    cross_model = cross_model_agreement(table)
-    for result in (cross_model.spearman, cross_model.kendall):
-        assert result.n_objects == len(keys)
-        assert result.extras.get("excluded", 0) == excluded
-    assert cross_model.spearman.statistic == pytest.approx(rank_then_pearson(x, y), abs=1e-12)
-    assert cross_model.kendall.statistic == pytest.approx(max(0.0, kendall_w_oracle([x, y])),
-                                                          abs=1e-12)
+    # every section is written; one the table cannot support is the skip
+    # line of the StatsError its statistic raises
+    lines = results_text(table, DEFAULT_BLOCKING).splitlines()
+
+    def unless_skipped(name, compute, prefix=""):
+        try:
+            return compute()
+        except StatsError as exc:
+            assert f"{prefix}{name}: skipped ({exc})" in lines
+            return None
+
+    cross_model = unless_skipped("cross_model_agreement", lambda: cross_model_agreement(table))
+    if cross_model:
+        keys, x, y, excluded = cross_model_pairs_full_scan(table)
+        for result in (cross_model.spearman, cross_model.kendall):
+            assert format_test_result(result) in lines
+            assert result.n_objects == len(keys)
+            assert result.extras.get("excluded", 0) == excluded
+        assert cross_model.spearman.statistic == pytest.approx(rank_then_pearson(x, y), abs=1e-12)
+        assert cross_model.kendall.statistic == pytest.approx(
+            max(0.0, kendall_w_oracle([x, y])), abs=1e-12)
 
     for model in table.model_ids():
-        _, objects, matrix, excluded = cross_role_means_full_scan(table, model)
-        result = cross_role_agreement(table, model)
-        assert result.n_objects == len(objects)
-        assert result.extras.get("excluded", 0) == excluded
-        assert result.statistic == pytest.approx(max(0.0, kendall_w_oracle(matrix)), abs=1e-12)
+        result = unless_skipped("cross_role_agreement",
+                                lambda: cross_role_agreement(table, model), f"[{model}] ")
+        if result:
+            _, objects, matrix, excluded = cross_role_means_full_scan(table, model)
+            assert f"[{model}] {format_test_result(result)}" in lines
+            assert result.n_objects == len(objects)
+            assert result.extras.get("excluded", 0) == excluded
+            assert result.statistic == pytest.approx(max(0.0, kendall_w_oracle(matrix)), abs=1e-12)
 
-    _, blocks, excluded = battery_blocks_full_scan(table, DEFAULT_BLOCKING)
-    battery = version_difference_battery(table)
-    assert (battery.n_blocks, battery.excluded_blocks) == (len(blocks), excluded)
-    assert battery.friedman.statistic == pytest.approx(float(friedman_chi2_exact(blocks)),
-                                                       rel=1e-12)
+    battery = unless_skipped("version_difference_battery", lambda: version_difference_battery(table))
+    if battery:
+        _, blocks, excluded = battery_blocks_full_scan(table, DEFAULT_BLOCKING)
+        assert f"complete blocks: {len(blocks)}  excluded incomplete: {excluded}" in lines
+        assert any(line.startswith(format_test_result(battery.friedman)) for line in lines)
+        assert battery.friedman.statistic == pytest.approx(float(friedman_chi2_exact(blocks)),
+                                                           rel=1e-12)
 
 
 def test_permutation_symmetry_of_friedman(mock_table, corpus):
