@@ -4,11 +4,15 @@ One row per (case, role, model, candidate, dimension, repeat).  Rows are
 unblinded: records keyed by public label are joined with each case's
 BlindPlan when the table is built, and nothing downstream ever needs the
 labels again.
+
+Invariant: the rows are in key order (``ScoreRow.key``), whatever order they
+came in, so duplicate keys are neighbours and a cell's repeats consecutive.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import types
 from collections.abc import Iterable, Mapping
@@ -42,6 +46,7 @@ class ScoreRow(NamedTuple):
 #: A row's identity and sort order: every field but the score.
 _row_key = operator.itemgetter(0, 1, 2, 3, 4, 6)
 _score = operator.itemgetter(5)
+_cell = operator.itemgetter(0, 1, 2, 3, 4)
 _case_and_candidate = operator.itemgetter(0, 3)
 
 
@@ -50,9 +55,9 @@ class ScoreTable:
     built at most once, on first use."""
 
     def __init__(self, rows: Iterable[ScoreRow], slot_map: dict[tuple[str, str], str] | None = None):
-        self.rows = rows = tuple(rows)
+        self.rows = rows = tuple(sorted(rows, key=_row_key))
         if (not _scores_valid(list(map(_score, rows)))
-                or len(set(map(_row_key, rows))) != len(rows)):
+                or any(itertools.starmap(operator.eq, itertools.pairwise(map(_row_key, rows))))):
             _raise_first_bad_row(rows)
         self._slot_map = dict(slot_map or {})
 
@@ -81,7 +86,7 @@ class ScoreTable:
         return sorted(self._by_case)
 
     def case_rows(self, case_id: str) -> tuple[ScoreRow, ...]:
-        """The rows of one case, in table order; empty for an unknown case."""
+        """The rows of one case, in key order; empty for an unknown case."""
         return self._by_case.get(case_id, ())
 
     @functools.cached_property
@@ -99,10 +104,13 @@ class ScoreTable:
 
     @functools.cached_property
     def _collapsed(self) -> Mapping[tuple, float]:
-        sums: dict[tuple, list[float]] = {}
-        for r in self.rows:
-            sums.setdefault((r.case_id, r.role_id, r.model_id, r.candidate_id, r.dimension), []).append(r.score)
-        return types.MappingProxyType({k: sum(v) / len(v) for k, v in sums.items()})
+        means = {}
+        for cell, repeats in itertools.groupby(self.rows, _cell):
+            total = 0
+            for count, row in enumerate(repeats, 1):
+                total += row.score
+            means[cell] = total / count
+        return types.MappingProxyType(means)
 
     def transformed(self, fn) -> "ScoreTable":
         """Same table with fn applied to every score; for invariance checks.
@@ -127,18 +135,18 @@ def _scores_valid(scores: list) -> bool:
 
 
 def _raise_first_bad_row(rows: tuple[ScoreRow, ...]) -> None:
-    """Raise for the first row, in table order, with a bad score or a
-    repeated key."""
-    seen = set()
+    """Raise for the first row, in key order, with a bad score or the key
+    of the row before it."""
+    previous = None
     for row in rows:
         score = row.score
         if not _scores_valid([score]):
             raise ValidationError(
                 f"score {score!r} is not an integer in {LIKERT_MIN}..{LIKERT_MAX} in {row}")
         k = row.key()
-        if k in seen:
+        if k == previous:
             raise ValidationError(f"duplicate score key {k}")
-        seen.add(k)
+        previous = k
 
 
 def slot_map_from_corpus(corpus: Corpus) -> dict[tuple[str, str], str]:
@@ -172,7 +180,6 @@ def table_from_records(
             rows.extend([new_row(ScoreRow, (case_id, role_id, model_id, candidate_id,
                                             dimension, int(score), repeat))
                          for dimension, score in per_dim.items()])
-    rows.sort(key=_row_key)
     slot_map = slot_map_from_corpus(corpus) if corpus is not None else None
     return ScoreTable(rows, slot_map)
 
@@ -183,7 +190,7 @@ CSV_COLUMNS = ["case", "role", "model", "candidate", "dimension", "score", "repe
 
 
 def table_to_csv(table: ScoreTable) -> str:
-    return csv_text(CSV_COLUMNS, sorted(table.rows, key=_row_key))
+    return csv_text(CSV_COLUMNS, table.rows)
 
 
 def save_table_csv(table: ScoreTable, path: Path) -> Path:

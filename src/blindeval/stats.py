@@ -28,6 +28,8 @@ Conventions
   every matrix over a ScoreTable and keeps only the units scored in every
   column.  The units dropped are counted: ``excluded=N`` in an agreement
   result's extras (shown only when N > 0), ``excluded_blocks`` in the battery.
+* Every mean, of a cell's repeats or of a ``complete_units`` cell, is a
+  running sum, left to right in table order, divided by the count.
 * A ``StatsError`` means the table cannot support the statistic, and
   ``stats run`` writes it as a skip line; a malformed argument, such as an
   unknown blocking field, is a ``ValidationError``.
@@ -289,20 +291,22 @@ def bonferroni(results: list[TestResult], family_size: int) -> list[TestResult]:
 def complete_units(cells, columns):
     """Pivot (unit, column, score) triples into a units x columns matrix.
 
-    Each cell is the mean of its scores, summed in the order given.  Only
-    units scored in every column are kept, sorted; ``excluded`` counts the
-    rest.  Returns (units, rows, excluded).
+    The columns are distinct.  Each unit keeps one flat list of running
+    column sums and counts.  A cell is its scores' sum, left to right in
+    the order given, over their count: the float ``sum(v) / len(v)`` gives
+    on Python 3.10/3.11, and the same on 3.12+, where ``sum()`` compensates
+    float sums.  Only units scored in every listed column are kept, sorted;
+    ``excluded`` counts the rest.  Returns (units, rows, excluded).
     """
+    slot = {column: 2 * j for j, column in enumerate(columns)}
     grid: dict = {}
     for unit, column, score in cells:
-        grid.setdefault(unit, {}).setdefault(column, []).append(score)
-    units, rows = [], []
-    for unit in sorted(grid):
-        try:
-            rows.append([sum(v) / len(v) for v in map(grid[unit].__getitem__, columns)])
-        except KeyError:    # a column the unit was not scored in
-            continue
-        units.append(unit)
+        acc = grid.get(unit) or grid.setdefault(unit, [0] * (2 * len(columns) + 2))
+        j = slot.get(column, -2)    # an unlisted column: the spare last pair
+        acc[j] += score
+        acc[j + 1] += 1
+    units = [unit for unit in sorted(grid) if all(grid[unit][1:-2:2])]
+    rows = [list(map(operator.truediv, grid[unit][:-2:2], grid[unit][1:-2:2])) for unit in units]
     return units, rows, len(grid) - len(units)
 
 

@@ -4,8 +4,9 @@ the run-directory writer and the prose parser.
 Deliberately built on different machinery than the engine: numpy/scipy
 ranking, exact rational arithmetic, brute-force enumeration, permutation
 resampling, the no-ties Spearman shortcut, full scans of the score table
-for every report aggregate and every statistics matrix, the concept block
-the golden questionnaire copy was written for, the two-step JSON writer
+for every report aggregate and every statistics matrix, the pivots as they
+were when they kept a list of scores per cell, the concept block the
+golden questionnaire copy was written for, the two-step JSON writer
 (``to_doc`` then json's own pretty-printer), the tree comparison as it was
 when it held both trees whole, the score parser as it was before its lines
 were prefiltered, and the heading splitter that reads a judge's reply as
@@ -19,7 +20,9 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -292,6 +295,40 @@ def cross_role_means_full_scan(table, model_id):
             excluded += 1
     matrix = [[column[i] for column in columns] for i in range(len(roles))]
     return roles, objects, matrix, excluded
+
+
+def complete_units_by_lists(cells, columns):
+    """``stats.complete_units`` as it was before it kept running sums: a
+    dict of per-column score lists for each unit, each cell ``sum(v) / len(v)``."""
+    grid: dict = {}
+    for unit, column, score in cells:
+        grid.setdefault(unit, {}).setdefault(column, []).append(score)
+    units, rows = [], []
+    for unit in sorted(grid):
+        try:
+            rows.append([sum(v) / len(v) for v in map(grid[unit].__getitem__, columns)])
+        except KeyError:    # a column the unit was not scored in
+            continue
+        units.append(unit)
+    return units, rows, len(grid) - len(units)
+
+
+def collapsed_by_lists(rows):
+    """``ScoreTable.collapsed`` as it was before it summed consecutive
+    repeats: a list of scores per (case, role, model, candidate, dimension)."""
+    sums: dict[tuple, list[float]] = {}
+    for r in rows:
+        sums.setdefault((r.case_id, r.role_id, r.model_id, r.candidate_id, r.dimension), []).append(r.score)
+    return {k: sum(v) / len(v) for k, v in sums.items()}
+
+
+def means_equal(new, oracle):
+    """Whether two lists of means are equal: exactly where ``sum()`` adds
+    floats left to right, as the list oracles' sums did up to Python 3.11,
+    and to rounding on 3.12+, where ``sum()`` compensates float sums."""
+    if sys.version_info < (3, 12):
+        return new == oracle
+    return len(new) == len(oracle) and all(map(math.isclose, new, oracle))
 
 
 # --- the run-directory writer -------------------------------------------------

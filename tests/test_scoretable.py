@@ -4,12 +4,14 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindeval.errors import ValidationError
 from blindeval.scoretable import (CSV_COLUMNS, ScoreRow, ScoreTable, table_from_records,
                                   table_to_csv)
 from conftest import run_mock_grid
-from oracles import table_from_csv
+from oracles import collapsed_by_lists, means_equal, table_from_csv
 
 
 def test_duplicate_key_rejected():
@@ -24,6 +26,21 @@ def test_duplicate_key_error_names_the_first_repeat_in_row_order():
     rows = [a, b, a._replace(score=2), b._replace(score=5)]
     with pytest.raises(ValidationError, match=re.escape(f"duplicate score key {a.key()}")):
         ScoreTable(rows)
+
+
+def test_duplicate_keys_far_apart_in_the_input_rejected():
+    rows = [ScoreRow(f"c{i:03d}", "r", "m", "cand", "Clarity", 3) for i in range(200)]
+    rows.append(rows[0]._replace(score=4))
+    with pytest.raises(ValidationError, match=re.escape(f"duplicate score key {rows[0].key()}")):
+        ScoreTable(rows)
+
+
+def test_rows_are_in_key_order_whatever_the_input_order(mock_table):
+    rows = list(mock_table.rows)
+    random.Random(11).shuffle(rows)
+    table = ScoreTable(rows)
+    assert table.rows == tuple(sorted(rows, key=ScoreRow.key))
+    assert table.rows == mock_table.rows
 
 
 def test_score_out_of_range_rejected():
@@ -68,6 +85,24 @@ def test_collapse_averages_repeats():
     assert ScoreTable(rows).collapsed()[("c", "r", "m", "cand", "Clarity")] == 3.5
 
 
+@settings(max_examples=100, deadline=None)
+@given(scores=st.dictionaries(st.tuples(st.sampled_from(["c1", "c2"]), st.sampled_from(["r1", "r2"]),
+                                        st.just("m"), st.sampled_from("ab"),
+                                        st.sampled_from(["Clarity", "Preference"]), st.integers(0, 3)),
+                              st.integers(1, 5), max_size=40),
+       seed=st.integers(0, 2**16))
+def test_collapsed_matches_the_list_oracle(scores, seed):
+    rows = [ScoreRow(*key[:5], score, key[5]) for key, score in scores.items()]
+    random.Random(seed).shuffle(rows)
+    table = ScoreTable(rows)
+    assert table.collapsed() == collapsed_by_lists(rows)
+    # scores in thirds, summed in table order by both
+    thirds = table.transformed(lambda s: s / 3)
+    collapsed, oracle = thirds.collapsed(), collapsed_by_lists(thirds.rows)
+    assert collapsed.keys() == oracle.keys()
+    assert means_equal(list(collapsed.values()), [oracle[cell] for cell in collapsed])
+
+
 def test_collapsed_cannot_be_changed_by_a_caller():
     rows = [ScoreRow("c", "r", "m", "cand", "Clarity", s, repeat=i) for i, s in enumerate([2, 5])]
     table = ScoreTable(rows)
@@ -109,7 +144,7 @@ def test_case_rows_keep_table_order_and_are_empty_for_unknown_cases():
     rows = [ScoreRow(case, "r", "m", cand, "Clarity", 3)
             for cand in ("b", "a") for case in ("c2", "c1")]
     table = ScoreTable(rows)
-    assert table.case_rows("c1") == (rows[1], rows[3])
+    assert table.case_rows("c1") == (rows[3], rows[1])
     assert table.case_rows("nope") == ()
     assert table.case_ids() == ["c1", "c2"]
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,10 @@ from blindeval.stats import (DEFAULT_BLOCKING, average_ranks, battery_blocks, bo
                              friedman, kendall_w, spearman_rho, version_difference_battery,
                              wilcoxon_signed_rank)
 from concordance_fixtures import RATINGS_W073, RATINGS_W078
-from oracles import (battery_blocks_full_scan, brute_force_ranks, cross_model_pairs_full_scan,
-                     cross_role_means_full_scan, friedman_chi2_exact, friedman_permutation_p,
-                     kendall_w_oracle, rank_then_pearson, spearman_rho_shortcut,
-                     wilcoxon_exact_two_sided)
+from oracles import (battery_blocks_full_scan, brute_force_ranks, complete_units_by_lists,
+                     cross_model_pairs_full_scan, cross_role_means_full_scan, friedman_chi2_exact,
+                     friedman_permutation_p, kendall_w_oracle, means_equal, rank_then_pearson,
+                     spearman_rho_shortcut, wilcoxon_exact_two_sided)
 
 
 # --- average_ranks -----------------------------------------------------------------
@@ -378,6 +379,41 @@ def test_complete_units_keeps_units_scored_in_every_column():
     assert units == ["u1", "u2"]
     assert rows == [[2.5, 4.0], [1.0, 3.0]]
     assert excluded == 1                # u3 has no "b"
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.tuples(st.sampled_from(["u0", "u1", "u2", "u3"]), st.sampled_from("abcd"),
+                                st.one_of(st.integers(1, 5), st.integers(1, 15).map(lambda n: n / 3))),
+                      max_size=40),
+       columns=st.lists(st.sampled_from("abc"), unique=True))
+def test_complete_units_matches_the_list_oracle(cells, columns):
+    # repeated (unit, column) cells, units missing a column, cells in columns
+    # not listed ("d", and whichever of a-c was not drawn), scores in thirds
+    units, rows, excluded = complete_units(cells, columns)
+    oracle_units, oracle_rows, oracle_excluded = complete_units_by_lists(cells, columns)
+    assert (units, excluded) == (oracle_units, oracle_excluded)
+    assert list(map(len, rows)) == list(map(len, oracle_rows))
+    assert means_equal([v for row in rows for v in row], [v for row in oracle_rows for v in row])
+
+
+def test_table_statistics_hold_no_copy_per_row():
+    # 10,080 rows: 56 cases x 3 roles x 2 models x 3 candidates x 5 dims x 2
+    # repeats.  Keeping a list per cell (collapse) and a dict of lists per
+    # unit (complete_units) peaked at 2.2 MB; running sums peak at 1.8 MB.
+    rng = random.Random(5)
+    rows = [ScoreRow(f"case{c:03d}", role, model, cand, dim, rng.randint(1, 5), repeat)
+            for c in range(56) for role in ("R1", "R2", "R3") for model in ("gpt", "gemini")
+            for cand in ("human", "llm-baseline", "llm-final") for dim in DIMS for repeat in (0, 1)]
+    table = ScoreTable(rows)
+    tracemalloc.start()
+    try:
+        table.collapsed()
+        cross_model_agreement(table)
+        version_difference_battery(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, f"collapse and statistics peaked at {peak / 1e6:.2f} MB"
 
 
 def test_cross_model_matches_oracle_on_mock_grid(mock_table):
