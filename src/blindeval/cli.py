@@ -297,6 +297,15 @@ def build_judge_context(run: RunDirectory, models: list[str], mock: bool, seed: 
 def cmd_evaluate(run: RunDirectory, args) -> int:
     models = [m for m in args.models.split(",") if m]
     ctx = build_judge_context(run, models, args.mock, run.global_seed)
+    # an empty grid would report zero jobs done and exit 0
+    if not len(ctx.corpus):
+        raise ValidationError(f"no cases to evaluate: {run.path('cases')} is empty; "
+                              "add cases with case add")
+    if not ctx.roles:
+        raise ValidationError(f"no reader roles to evaluate: {run.path('personas')} is empty; "
+                              "add a <role>.txt file per role")
+    if not models:
+        raise ValidationError("no models to evaluate: --models names none")
     roles = [r for r in args.roles.split(",") if r] or sorted(ctx.roles)
     unknown = [r for r in roles if r not in ctx.roles]
     if unknown:

@@ -113,18 +113,41 @@ def canonical_request(config: ProviderConfig, messages: list[dict[str, str]]) ->
 
 
 def http_transport(config: ProviderConfig, request_text: str, api_key: str | None):
-    """POST the payload; returns (status_code, body_text)."""
-    import requests
+    """POST the payload; returns (status_code, body_text).
+
+    Every status comes back with its body, a non-2xx one too.  A reply
+    that never arrives in full (refused or dropped connection, timeout,
+    TLS failure, body cut short) has status None, which complete()
+    retries.  A body that is not UTF-8 comes back as a note saying so,
+    which is not JSON, so complete() rejects it as a malformed completion
+    rather than reading it with replaced characters.
+    """
+    # imported here: urllib.request pulls in ssl, http.client and email,
+    # which no mocked or analysis verb needs
+    import http.client
+    import urllib.error
+    import urllib.request
 
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
     try:
-        resp = requests.post(config.endpoint, data=request_text.encode("utf-8"),
-                             headers=headers, timeout=config.timeout)
-    except requests.RequestException as exc:
+        request = urllib.request.Request(config.endpoint, data=request_text.encode("utf-8"),
+                                         headers=headers, method="POST")
+        try:
+            reply = urllib.request.urlopen(request, timeout=config.timeout)
+        except urllib.error.HTTPError as exc:  # a non-2xx status, with its body
+            reply = exc
+        with reply:
+            status, body = reply.status, reply.read()
+    # ValueError: an endpoint that is not a URL, or a header value that
+    # http.client refuses; the attempt fails like a dropped connection
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         return None, f"transport exception: {exc}"
-    return resp.status_code, resp.text
+    try:
+        return status, body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return status, f"reply body is not UTF-8: {exc}"
 
 
 def complete(

@@ -47,6 +47,7 @@ class ScoreRow(NamedTuple):
 _row_key = operator.itemgetter(0, 1, 2, 3, 4, 6)
 _score = operator.itemgetter(5)
 _cell = operator.itemgetter(0, 1, 2, 3, 4)
+_case = operator.itemgetter(0)
 _case_and_candidate = operator.itemgetter(0, 3)
 
 
@@ -91,10 +92,8 @@ class ScoreTable:
 
     @functools.cached_property
     def _by_case(self) -> dict[str, tuple[ScoreRow, ...]]:
-        groups: dict[str, list[ScoreRow]] = {}
-        for r in self.rows:
-            groups.setdefault(r.case_id, []).append(r)
-        return {case_id: tuple(rows) for case_id, rows in groups.items()}
+        # rows are in key order, so each case is one contiguous run of them
+        return {case_id: tuple(run) for case_id, run in itertools.groupby(self.rows, _case)}
 
     def collapsed(self) -> Mapping[tuple, float]:
         """Mean over repeat indices: (case, role, model, candidate, dim) -> score.

@@ -90,11 +90,33 @@ def test_case_add_list_show(run_dir, tmp_path, capsys):
     shown = json.loads(capsys.readouterr().out)
     assert shown["id"] == "case2"
 
+    assert main(["-C", str(run_dir), "case", "list"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{c['id']}\t4 candidates\t{c['title']}" for c in listed]
+    assert main(["-C", str(run_dir), "case", "show", "case2"]) == 0
+    case = demo_corpus().get("case2")
+    assert capsys.readouterr().out.splitlines() == [
+        f"case2: {case.title}", f"source: {case.source_text}", f"context: {case.context_note}",
+        *(f"  - {c.id} [{c.origin}] {c.translator_label}" for c in case.candidates)]
+
 
 def test_case_add_duplicate_rejected(run_dir, tmp_path, capsys):
     _add_demo_cases(run_dir, tmp_path)
     assert main(["-C", str(run_dir), "case", "add", str(tmp_path / "case1.src.json")]) == 1
     assert "case1" in capsys.readouterr().err
+
+
+def test_case_add_of_an_invalid_case_prints_its_violations_and_saves_nothing(run_dir, tmp_path,
+                                                                             capsys):
+    case = demo_corpus().get("case1")
+    case.candidates = case.candidates[:1]
+    path = write_json(tmp_path / "case1.src.json", case)
+    capsys.readouterr()
+    assert main(["-C", str(run_dir), "case", "add", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "[case1] needs at least 2 candidates, has 1",
+        "error: ValidationError: case 'case1' violates corpus invariants; not saved"]
+    assert list((run_dir / "cases").iterdir()) == []
 
 
 def test_blind_seeded_and_idempotent(run_dir, tmp_path, capsys):
@@ -166,6 +188,26 @@ def test_evaluate_mock_and_resume(run_dir, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("dispatch: 1 worker(s); cap gemini=4, gpt=4\n")
     assert len(list((run_dir / "records").glob("*.json"))) == 24
     assert len(list((run_dir / "transcripts").glob("*.json"))) == n_transcripts + 1
+
+
+@pytest.mark.parametrize("personas, cases, models, names", [
+    (False, True, "gpt,gemini", "personas"),
+    (True, False, "gpt,gemini", "cases"),
+    (True, True, ",", "--models"),
+])
+def test_an_empty_grid_is_a_single_line_error(run_dir, tmp_path, capsys, personas, cases,
+                                              models, names):
+    if cases:
+        _add_demo_cases(run_dir, tmp_path)
+        assert main(["-C", str(run_dir), "blind"]) == 0
+    if personas:
+        _write_fixture_assets(run_dir)
+    capsys.readouterr()
+    assert main(["-C", str(run_dir), "evaluate", "--models", models, "--mock"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ValidationError: no ") and err.count("\n") == 1
+    assert names in err
+    assert list((run_dir / "records").iterdir()) == []
 
 
 def test_unknown_role_is_an_error(run_dir, tmp_path, capsys):
@@ -297,6 +339,24 @@ def test_stats_run_with_one_block_skips_only_the_battery(full_run, tmp_path, cap
         " (blocking: )", "version_difference_battery: skipped (need at least 2 blocks, got 1)"]
     assert agreement == agreement_and_battery()[0]
     assert "skipped" not in agreement
+
+
+def test_two_versions_scored_alike_are_a_degenerate_pair_beside_friedman(full_run, tmp_path):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    plans = blinding.load_plans(target / "blinding")
+    for path in (target / "records").glob("*.json"):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        label = plans[record["case_id"]].permutation.index
+        scores = record["scores"]
+        scores[str(label("llm-final") + 1)] = scores[str(label("llm-baseline") + 1)]
+        write_json(path, record)
+    assert main(["-C", str(target), "stats", "run"]) == 0
+    results = (target / "report" / "results.txt").read_text(encoding="utf-8").splitlines()
+    assert any(line.startswith("friedman: statistic=") for line in results)
+    assert ("  llm-baseline vs llm-final: degenerate (all differences are zero; no information)"
+            in results)
+    assert sum("bonferroni(family=6)" in line for line in results) == 5
 
 
 def test_an_unknown_blocking_field_is_a_single_line_error(full_run, tmp_path, capsys):
@@ -655,6 +715,43 @@ def test_a_mock_session_is_one_file_whose_turns_name_their_transcripts(run_dir, 
             "content": render_stage_prompt(turn.stage_at_send, case, turn.supplement)}
         assert transcript.response_text not in path.read_text(encoding="utf-8")
     assert [c.text for c in case.candidates if c.origin == "llm_adjusted"] == ["T"]
+
+
+def test_the_paper_pipeline_registers_the_scaffolded_candidate_and_judges_it(run_dir, tmp_path,
+                                                                            capsys):
+    """The human-in-the-loop path, verb by verb: a case without a prompt-adjusted
+    rendering gets one from a refinement session, then is blinded, judged,
+    analysed and reported with it."""
+    from blindeval.fixtures import DEMO_ROLES
+
+    case = demo_corpus().get("case1")
+    case.candidates = [c for c in case.candidates if c.origin != "llm_adjusted"]
+    path = write_json(tmp_path / "case1.src.json", case)
+
+    def run(*argv):
+        assert main(["-C", str(run_dir), *argv]) == 0, capsys.readouterr().err
+
+    run("case", "add", str(path))
+    for role in DEMO_ROLES:
+        (run_dir / "personas" / f"{role.id}.txt").write_text(role.persona_text + "\n",
+                                                             encoding="utf-8")
+    session = ["--session", "case1-deepseek-01"]
+    run("scaffold", "start", "--case", "case1", "--model", "deepseek", "--mock")
+    run("scaffold", "diagnose", *session, "--modes", "knowledge_gap")
+    run("scaffold", "advance", *session, "--supplement", "qi: the body's vital activity", "--mock")
+    run("scaffold", "advance", *session, "--mock")
+    run("scaffold", "finalize", *session, "--text", "The scaffolded rendering.")
+    final = load_corpus(run_dir / "cases").get("case1").candidates[-1]
+    assert (final.id, final.origin, final.translator_label, final.text) == (
+        "llm-final", "llm_adjusted", "deepseek/mock-deepseek", "The scaffolded rendering.")
+
+    run("blind")
+    assert "llm-final" in blinding.load_plans(run_dir / "blinding")["case1"].permutation
+    run("evaluate", "--models", "gpt,gemini", "--mock")
+    assert "6 record(s) done, 0 failed, 6 job(s) total" in capsys.readouterr().out
+    run("stats", "run")
+    run("report", "build")
+    assert "llm-final" in (run_dir / "report" / "report.md").read_text(encoding="utf-8")
 
 
 def test_a_failed_baseline_call_leaves_no_session(run_dir, tmp_path, capsys, monkeypatch):
