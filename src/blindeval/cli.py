@@ -14,10 +14,11 @@ import gc
 import json
 import sys
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from . import blinding, fixtures, judge, persona, report, scaffold, stats
 from .corpus import SourceCase, load_corpus, save_case, validate_corpus
-from .errors import HarnessError, ValidationError
+from .errors import HarnessError, ProviderConfigError, ValidationError
 from .provider import (KNOWN_PROVIDERS, ProviderConfig, TranscriptStore, make_mock_transport,
                        make_scaffold_mock_transport, mock_config)
 from .rng import mix_seed
@@ -35,9 +36,18 @@ def main(argv=None) -> int:
     try:
         return dispatch(args)
     except HarnessError as exc:
-        message = " ".join(str(exc).split())
-        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {one_line(str(exc))}", file=sys.stderr)
         return 1
+
+
+#: control characters left after whitespace is collapsed -> their \xNN escape
+_CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7f, 0xa0))}
+
+
+def one_line(text: str) -> str:
+    """``text`` as one line: each run of whitespace (line ends included)
+    becomes one space, and any other control character its ``\\xNN`` escape."""
+    return " ".join(text.split()).translate(_CONTROL_ESCAPES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,12 +267,19 @@ def cmd_scaffold(run: RunDirectory, args) -> int:
 
 
 def resolve_provider(run: RunDirectory, model_id: str) -> ProviderConfig:
-    """providers.json in the run root overrides the built-in presets."""
+    """providers.json in the run root overrides the built-in presets.  An
+    endpoint that is not an http(s) URL is refused here, before any call:
+    every attempt at it would fail alike."""
     path = run.root / "providers.json"
     if path.exists():
         overrides = from_doc(dict[str, dict], read_json(path), path)
         if model_id in overrides:
-            return from_doc(ProviderConfig, {**overrides[model_id], "provider_id": model_id}, path)
+            config = from_doc(ProviderConfig, {**overrides[model_id], "provider_id": model_id}, path)
+            url = urlsplit(config.endpoint)
+            if url.scheme not in ("http", "https") or not url.netloc:
+                raise ProviderConfigError(f"provider {model_id!r} in {path}: endpoint "
+                                          f"{config.endpoint!r} is not an http(s) URL")
+            return config
     if model_id in KNOWN_PROVIDERS:
         return KNOWN_PROVIDERS[model_id]
     raise ValidationError(
@@ -323,7 +340,7 @@ def cmd_evaluate(run: RunDirectory, args) -> int:
     for job in jobs:
         line = f"{job.key()}: {job.status}"
         if job.failure:
-            line += f" ({job.failure})"
+            line += f" ({one_line(job.failure)})"
         print(line)
     print(f"{len(records)} record(s) done, {len(failed)} failed, {len(jobs)} job(s) total")
     if failed:

@@ -140,8 +140,9 @@ def http_transport(config: ProviderConfig, request_text: str, api_key: str | Non
             reply = exc
         with reply:
             status, body = reply.status, reply.read()
-    # ValueError: an endpoint that is not a URL, or a header value that
-    # http.client refuses; the attempt fails like a dropped connection
+    # ValueError: an endpoint that is not a URL (cli.resolve_provider refuses
+    # one from providers.json), or a header value that http.client refuses;
+    # the attempt fails like a dropped connection
     except (OSError, ValueError, http.client.HTTPException) as exc:
         return None, f"transport exception: {exc}"
     try:
@@ -197,8 +198,10 @@ def complete(
         if not isinstance(content, str):   # a refused or filtered reply has null content
             raise TypeError(f"message content is {type(content).__name__}, not a string")
     except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+        excerpt = repr(body[:80]) + ("..." if len(body) > 80 else "")
         raise TransportError(
-            f"provider {config.provider_id!r} returned a malformed completion body: {exc}",
+            f"provider {config.provider_id!r} returned a malformed completion body: {exc}; "
+            f"the body begins {excerpt}",
             status=status, attempts=attempts)
 
     latency = time.monotonic() - start

@@ -11,18 +11,16 @@ normalized tree for a digest.
 from __future__ import annotations
 
 import contextlib
-import heapq
 import json
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import groupby
-from operator import itemgetter
+from itertools import zip_longest
 from pathlib import Path
 
 from .errors import RunDirectoryError
-from .store import from_doc, read_json, write_json
+from .store import from_doc, read_json, read_text_pieces, write_json
 
 SCHEMA_VERSION = 3
 SUBDIRS = ("cases", "personas", "templates", "blinding", "sessions",
@@ -120,6 +118,36 @@ def _scrub(value):
     return value
 
 
+def _file_names(root: str) -> set[str]:
+    """Relative names of the files under ``root``, the lock file left out;
+    a symlink to a directory is not followed.  A missing or unreadable
+    directory raises RunDirectoryError naming it."""
+    names: set[str] = set()
+    prefixes = [""]
+    while prefixes:
+        prefix = prefixes.pop()
+        directory = os.path.join(root, prefix)
+        try:
+            with os.scandir(directory) as entries:
+                for entry in entries:
+                    if entry.is_dir(follow_symlinks=False):
+                        prefixes.append(prefix + entry.name + os.sep)
+                    elif entry.is_file() and entry.name != LOCK_NAME:
+                        names.add(prefix + entry.name)
+        except OSError as exc:
+            raise RunDirectoryError(f"cannot read {directory}: {exc.strerror}") from None
+    return names
+
+
+def _normalized(path: str) -> Iterable[str]:
+    """The normalized content of the file at ``path``, in pieces: a JSON
+    file's canonical text with volatile keys replaced, as one piece; any
+    other file's UTF-8 text, line ends untouched, read in bounded pieces."""
+    if os.path.splitext(path)[1] == ".json":
+        return [json.dumps(_scrub(read_json(path)), ensure_ascii=False, sort_keys=True)]
+    return read_text_pieces(path)
+
+
 def normalized_files(root: Path) -> Iterator[tuple[str, str]]:
     """Yield (relative path, normalized content) for every file of a tree,
     in order of path string, reading one file at a time.
@@ -129,18 +157,9 @@ def normalized_files(root: Path) -> Iterator[tuple[str, str]]:
     decoded as UTF-8 with their line ends untouched.  A file unreadable
     this way raises RunDirectoryError naming it.
     """
-    root = Path(root)
-    for path in sorted(root.rglob("*"), key=str):
-        if not path.is_file() or path.name == LOCK_NAME:
-            continue
-        if path.suffix == ".json":
-            text = json.dumps(_scrub(read_json(path)), ensure_ascii=False, sort_keys=True)
-        else:
-            try:
-                text = path.read_bytes().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise RunDirectoryError(f"cannot read {path}: {exc}") from None
-        yield str(path.relative_to(root)), text
+    root = os.fspath(root)
+    for name in sorted(_file_names(root)):
+        yield name, "".join(_normalized(os.path.join(root, name)))
 
 
 def snapshot(root: Path) -> dict[str, str]:
@@ -153,20 +172,27 @@ def snapshot(root: Path) -> dict[str, str]:
 def trees_identical(a: Path, b: Path) -> tuple[bool, list[str]]:
     """Compare two trees under normalized_files, one file pair at a time.
 
-    Holds the two trees' path lists and one normalized file of each, never
-    a whole tree.  Every file of both trees is normalized, so an unreadable
-    file raises even where it is one-sided or the same on both sides.
-    Returns the sorted one-sided paths, then the sorted differing paths.
+    Holds the two trees' sets of relative names and, for a pair of JSON
+    files, both normalized texts; any other pair is read side by side in
+    bounded pieces, never whole.  Every file of both trees is read to its
+    end, so an unreadable file raises even where it is one-sided or where
+    an earlier piece already differs.  Returns the sorted one-sided paths,
+    then the sorted differing paths.
     """
+    a, b = os.fspath(a), os.fspath(b)
+    names_a, names_b = _file_names(a), _file_names(b)
     one_sided: list[str] = []
     differing: list[str] = []
-    merged = heapq.merge(normalized_files(a), normalized_files(b), key=itemgetter(0))
-    for path, files in groupby(merged, key=itemgetter(0)):
-        texts = [text for _, text in files]
-        if len(texts) == 1:
-            one_sided.append(path)
-        elif texts[0] != texts[1]:
-            differing.append(path)
-    # both walks run in path order, so each list is already sorted
+    for name in sorted(names_a | names_b):
+        same = True
+        pieces_a = _normalized(os.path.join(a, name)) if name in names_a else ()
+        pieces_b = _normalized(os.path.join(b, name)) if name in names_b else ()
+        for piece_a, piece_b in zip_longest(pieces_a, pieces_b):
+            same = same and piece_a == piece_b
+        if name not in names_a or name not in names_b:
+            one_sided.append(name)
+        elif not same:
+            differing.append(name)
+    # the names are visited in sorted order, so each list is already sorted
     diffs = one_sided + differing
     return (not diffs), diffs

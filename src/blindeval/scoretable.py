@@ -11,18 +11,19 @@ came in, so duplicate keys are neighbours and a cell's repeats consecutive.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
 import types
-from collections.abc import Iterable, Mapping
+from collections.abc import ItemsView, Iterable, Mapping, ValuesView
 from pathlib import Path
 from typing import NamedTuple
 
 from .blinding import BlindPlan, plan_for, unblind
 from .corpus import Corpus
 from .errors import ValidationError
-from .store import csv_text, write_text
+from .store import write_csv
 
 LIKERT_MIN, LIKERT_MAX = 1, 5
 #: (type, value) of every valid score, so that True, 3.0 and "3" fail
@@ -52,11 +53,12 @@ _case_and_candidate = operator.itemgetter(0, 3)
 
 
 class ScoreTable:
-    """Immutable rows plus the per-case index and repeat collapse, each
-    built at most once, on first use."""
+    """Immutable rows in key order plus the per-case index and the repeat
+    collapse, each built at most once, on first use.  Neither the sort nor
+    the collapse makes a key tuple per row or per cell."""
 
     def __init__(self, rows: Iterable[ScoreRow], slot_map: dict[tuple[str, str], str] | None = None):
-        self.rows = rows = tuple(sorted(rows, key=_row_key))
+        self.rows = rows = _in_key_order(rows)
         if (not _scores_valid(list(map(_score, rows)))
                 or any(itertools.starmap(operator.eq, itertools.pairwise(map(_row_key, rows))))):
             _raise_first_bad_row(rows)
@@ -98,18 +100,20 @@ class ScoreTable:
     def collapsed(self) -> Mapping[tuple, float]:
         """Mean over repeat indices: (case, role, model, candidate, dim) -> score.
 
-        Read-only: every call returns a view of the same mapping."""
+        Read-only: every call returns the same mapping.  It holds one row of
+        each cell and the cell's mean, not a key tuple per cell."""
         return self._collapsed
 
     @functools.cached_property
-    def _collapsed(self) -> Mapping[tuple, float]:
-        means = {}
-        for cell, repeats in itertools.groupby(self.rows, _cell):
+    def _collapsed(self) -> "_Collapsed":
+        cell_rows, means = [], []
+        for _, repeats in itertools.groupby(self.rows, _cell):
             total = 0
             for count, row in enumerate(repeats, 1):
                 total += row.score
-            means[cell] = total / count
-        return types.MappingProxyType(means)
+            cell_rows.append(row)
+            means.append(total / count)
+        return _Collapsed(tuple(cell_rows), tuple(means))
 
     def transformed(self, fn) -> "ScoreTable":
         """Same table with fn applied to every score; for invariance checks.
@@ -123,6 +127,69 @@ class ScoreTable:
                                     r.dimension, fn(r.score), r.repeat) for r in self.rows)
         clone._slot_map = dict(self._slot_map)
         return clone
+
+
+class _Collapsed(Mapping):
+    """Read-only map of a table's cells to their means.  It stores one row
+    of each cell, in key order, and the means beside them; a key tuple is
+    built only while iterating, and a lookup bisects the rows."""
+
+    __slots__ = ("_rows", "_means")
+
+    def __init__(self, rows: tuple[ScoreRow, ...], means: tuple[float, ...]):
+        self._rows = rows
+        self._means = means
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __iter__(self):
+        return map(_cell, self._rows)
+
+    def __getitem__(self, cell):
+        rows = self._rows
+        try:
+            i = bisect.bisect_left(rows, cell, key=_cell)
+        except TypeError:   # a key that does not compare with a cell's
+            raise KeyError(cell) from None
+        if i == len(rows) or _cell(rows[i]) != cell:
+            raise KeyError(cell)
+        return self._means[i]
+
+    # views whose iterators read the stored tuples; the ABC's look up every key
+    def items(self):
+        return _CollapsedItems(self)
+
+    def values(self):
+        return _CollapsedValues(self)
+
+
+class _CollapsedItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._means)
+
+
+class _CollapsedValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._means)
+
+
+def _in_key_order(rows: Iterable[ScoreRow]) -> tuple[ScoreRow, ...]:
+    """``tuple(sorted(rows, key=_row_key))``, with no key tuple per row: a
+    sort by case, whose keys are the rows' own strings, then a sort of each
+    case's run by the whole key.  Both sorts are stable, so rows with equal
+    keys keep their input order."""
+    rows = sorted(rows, key=_case)
+    start = 0
+    while start < len(rows):
+        end = bisect.bisect_right(rows, _case(rows[start]), start, key=_case)
+        rows[start:end] = sorted(rows[start:end], key=_row_key)
+        start = end
+    return tuple(rows)
 
 
 def _scores_valid(scores: list) -> bool:
@@ -188,9 +255,6 @@ def table_from_records(
 CSV_COLUMNS = ["case", "role", "model", "candidate", "dimension", "score", "repeat"]
 
 
-def table_to_csv(table: ScoreTable) -> str:
-    return csv_text(CSV_COLUMNS, table.rows)
-
-
 def save_table_csv(table: ScoreTable, path: Path) -> Path:
-    return write_text(path, table_to_csv(table))
+    """Write the table's rows to ``path`` as CSV, streamed row by row."""
+    return write_csv(path, CSV_COLUMNS, table.rows)

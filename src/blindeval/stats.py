@@ -296,7 +296,9 @@ def complete_units(cells, columns):
     the order given, over their count: the float ``sum(v) / len(v)`` gives
     on Python 3.10/3.11, and the same on 3.12+, where ``sum()`` compensates
     float sums.  Only units scored in every listed column are kept, sorted;
-    ``excluded`` counts the rest.  Returns (units, rows, excluded).
+    ``excluded`` counts the rest.  Each unit's sums are dropped as its row
+    is made, so the sums and the rows are never held whole at once.
+    Returns (units, rows, excluded).
     """
     slot = {column: 2 * j for j, column in enumerate(columns)}
     grid: dict = {}
@@ -305,9 +307,15 @@ def complete_units(cells, columns):
         j = slot.get(column, -2)    # an unlisted column: the spare last pair
         acc[j] += score
         acc[j + 1] += 1
-    units = [unit for unit in sorted(grid) if all(grid[unit][1:-2:2])]
-    rows = [list(map(operator.truediv, grid[unit][:-2:2], grid[unit][1:-2:2])) for unit in units]
-    return units, rows, len(grid) - len(units)
+    n_units = len(grid)
+    units, rows = [], []
+    for unit in sorted(grid):
+        acc = grid.pop(unit)
+        counts = acc[1:-2:2]
+        if all(counts):
+            units.append(unit)
+            rows.append(list(map(operator.truediv, acc[:-2:2], counts)))
+    return units, rows, n_units - len(units)
 
 
 def _noting_excluded(result: TestResult, excluded: int) -> TestResult:

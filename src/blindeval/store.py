@@ -1,8 +1,8 @@
 """The on-disk format of every file in a run directory.
 
 One writer (UTF-8 bytes with LF line ends on every platform), one CSV
-encoder, canonical JSON (two-space indent, sorted keys and a trailing
-newline), one reader that turns any unreadable file into a
+encoder, which gives text or streams a file in that same form, canonical
+JSON (two-space indent, sorted keys and a trailing newline), one reader that turns any unreadable file into a
 RunDirectoryError naming it, and one decoder from JSON documents to
 dataclasses.  ``from_doc`` decodes by the dataclass's type hints and
 rejects unknown and missing fields, so a typo never silently drops data.
@@ -10,6 +10,7 @@ rejects unknown and missing fields, so a typo never silently drops data.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import dataclasses
 import functools
@@ -17,6 +18,7 @@ import io
 import json
 import types
 import typing
+from collections.abc import Iterator
 from json.encoder import encode_basestring as _quote  # the escaper json.dumps uses
 from pathlib import Path
 
@@ -56,10 +58,23 @@ def write_json(path: Path, obj) -> Path:
 def csv_text(header, rows) -> str:
     """CSV text of ``header`` then ``rows``, with LF line ends."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    _write_csv_rows(buf, header, rows)
+    return buf.getvalue()
+
+
+def write_csv(path: Path, header, rows) -> Path:
+    """Write ``csv_text(header, rows)`` to ``path`` as UTF-8, streamed row by
+    row rather than built whole first."""
+    with open(path, "w", encoding="utf-8", newline="") as file:
+        _write_csv_rows(file, header, rows)
+    return Path(path)
+
+
+def _write_csv_rows(file, header, rows) -> None:
+    """The one CSV encoder: ``header`` then ``rows``, each line ending in LF."""
+    writer = csv.writer(file, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
 
 
 def read_json(path: Path):
@@ -81,6 +96,20 @@ def read_text(path: Path) -> str:
     try:
         with open(path, encoding="utf-8") as file:
             return file.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from None
+
+
+def read_text_pieces(path: Path) -> Iterator[str]:
+    """Text of the UTF-8 file at ``path`` with its line ends untouched, in
+    pieces decoded from 64 KiB at a time; a missing or undecodable file
+    raises RunDirectoryError naming it.  Equal files give equal pieces."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    try:
+        with open(path, "rb") as file:
+            while data := file.read(1 << 16):
+                yield decoder.decode(data)
+        yield decoder.decode(b"", final=True)
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from None
 

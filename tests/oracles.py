@@ -177,7 +177,7 @@ def kendall_w_oracle(rows):
 
 
 def table_from_csv(text):
-    """A score table read back from ``scoretable.table_to_csv`` output."""
+    """A score table read back from the text ``scoretable.save_table_csv`` writes."""
     reader = csv.reader(io.StringIO(text))
     assert next(reader) == CSV_COLUMNS
     rows = [ScoreRow(c, role, m, cand, dim, int(score), int(rep))

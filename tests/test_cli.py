@@ -769,3 +769,8 @@ def test_a_failed_baseline_call_leaves_no_session(run_dir, tmp_path, capsys, mon
     session = SessionStore(path.parent).load("case1-deepseek-01")
     assert session.stage == "Diagnose"
     assert [t.stage_at_send for t in session.turns] == ["Baseline"]
+
+
+def test_a_printed_reason_is_one_line_with_control_characters_escaped():
+    reason = "502 from proxy:\r\n<html>\n\t<body>\x1b[31mBad\x00 gateway </body>\x85</html>\n"
+    assert cli.one_line(reason) == r"502 from proxy: <html> <body>\x1b[31mBad\x00 gateway </body> </html>"

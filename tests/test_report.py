@@ -11,7 +11,7 @@ from blindeval.corpus import Corpus
 from blindeval.persona import DIMENSIONS
 from blindeval.report import (aggregate, build_report, case_csv, case_table, radar_csv,
                               radar_data, report_markdown, role_range_data, roles_csv)
-from blindeval.scoretable import ScoreRow, ScoreTable, table_to_csv
+from blindeval.scoretable import ScoreRow, ScoreTable, save_table_csv
 from oracles import case_table_full_scan, radar_full_scan, table_from_csv
 
 DIMS = ("Clarity", "CognitiveLoad", "Confidence", "Preference", "Transferability")
@@ -78,8 +78,8 @@ def test_case_table_unknown_case():
         case_table(uniform_table(), "nope")
 
 
-def test_every_mean_recomputable_from_exported_csv(mock_table):
-    exported = table_to_csv(mock_table)
+def test_every_mean_recomputable_from_exported_csv(mock_table, tmp_path):
+    exported = save_table_csv(mock_table, tmp_path / "scores.csv").read_text(encoding="utf-8")
     reloaded = table_from_csv(exported)
     slot_of = mock_table.slot_of
 

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from blindeval.cli import main
 from blindeval.errors import RunDirectoryError
-from blindeval.rundir import trees_identical
+from blindeval.rundir import snapshot, trees_identical
 from blindeval.store import write_json
 
 
@@ -53,6 +53,45 @@ def test_non_utf8_text_file_in_a_compared_tree_is_named(tmp_path):
     (b / "n.txt").write_bytes(b"\xff\n")
     with pytest.raises(RunDirectoryError, match="n.txt"):
         trees_identical(a, b)
+
+
+@pytest.mark.parametrize("sides", ["a", "b", "both"])
+@pytest.mark.parametrize("offset", [0, 200_000])
+def test_non_utf8_text_file_is_named_wherever_it_is(tmp_path, sides, offset):
+    # offset 200,000: the bad byte lies in a later piece than the first difference
+    a = make_tree(tmp_path / "a", b"a,b\n")
+    b = make_tree(tmp_path / "b", b"a,b\n")
+    for root in (a, b):
+        if sides in (root.name, "both"):
+            (root / "n.txt").write_bytes(root.name.encode() + b"x" * offset + b"\xff\n")
+    with pytest.raises(RunDirectoryError, match="n.txt"):
+        trees_identical(a, b)
+
+
+def test_a_missing_tree_is_named(tmp_path):
+    a = make_tree(tmp_path / "a", b"a,b\n")
+    for first, second in [(a, tmp_path / "missing"), (tmp_path / "missing", tmp_path / "gone")]:
+        with pytest.raises(RunDirectoryError, match="missing"):
+            trees_identical(first, second)
+
+
+def test_a_character_split_across_read_pieces_is_read_whole(tmp_path):
+    text = ("x" * 65_535 + "草木\r\n") * 3   # 草 straddles the first 64 KiB boundary
+    a = make_tree(tmp_path / "a", text.encode("utf-8"))
+    b = make_tree(tmp_path / "b", text.encode("utf-8"))
+    assert trees_identical(a, b) == (True, [])
+    assert snapshot(a)["x.csv"] == text
+    (b / "x.csv").write_bytes(text.replace("木", "火").encode("utf-8"))
+    assert trees_identical(a, b) == (False, ["x.csv"])
+
+
+def test_lock_files_and_directory_symlinks_are_not_compared(tmp_path):
+    a = make_tree(tmp_path / "a", b"a,b\n")
+    b = make_tree(tmp_path / "b", b"a,b\n")
+    (a / ".lock").write_text("123", encoding="ascii")
+    (b / "records" / ".lock").write_text("456", encoding="ascii")
+    (a / "linked").symlink_to(a / "records", target_is_directory=True)
+    assert trees_identical(a, b) == (True, [])
 
 
 # --- the streaming comparison against the whole-snapshot oracle ---------------------
@@ -129,3 +168,18 @@ def test_comparison_holds_one_file_pair_not_whole_trees(tmp_path):
         tracemalloc.stop()
     assert not same and len(diffs) == 200
     assert peak < 2 * 1024 * 1024, f"comparison peaked at {peak / 1e6:.1f} MB"
+
+
+def test_comparison_reads_other_files_in_bounded_pieces(tmp_path):
+    # a 4 MB CSV on each side: reading each side whole peaked at 12 MB
+    text = "case,role,model,candidate,dimension,score,repeat\n" + "c,r,m,x,Clarity,3,0\n" * 200_000
+    a = make_tree(tmp_path / "a", text.encode("utf-8"))
+    b = make_tree(tmp_path / "b", text.encode("utf-8"))
+    tracemalloc.start()
+    try:
+        same, diffs = trees_identical(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert same and diffs == []
+    assert peak < 500_000, f"comparison peaked at {peak / 1e6:.2f} MB"

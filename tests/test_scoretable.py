@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindeval.errors import ValidationError
-from blindeval.scoretable import (CSV_COLUMNS, ScoreRow, ScoreTable, table_from_records,
-                                  table_to_csv)
+from blindeval.scoretable import (CSV_COLUMNS, ScoreRow, ScoreTable, _in_key_order,
+                                  save_table_csv, table_from_records)
+from blindeval.store import csv_text
 from conftest import run_mock_grid
 from oracles import collapsed_by_lists, means_equal, table_from_csv
 
@@ -41,6 +43,35 @@ def test_rows_are_in_key_order_whatever_the_input_order(mock_table):
     table = ScoreTable(rows)
     assert table.rows == tuple(sorted(rows, key=ScoreRow.key))
     assert table.rows == mock_table.rows
+
+
+_row_fields = st.tuples(st.sampled_from(["c1", "c2", "c10"]), st.sampled_from(["r1", "r2"]),
+                        st.sampled_from(["gpt", "gemini"]), st.sampled_from("ab"),
+                        st.sampled_from(["Clarity", "Preference"]), st.integers(0, 6),
+                        st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=st.lists(_row_fields, max_size=60), seed=st.integers(0, 2**16))
+def test_case_first_sort_equals_one_sort_by_the_whole_key(fields, seed):
+    # duplicate keys with different scores show the order among equal keys
+    rows = [ScoreRow(*f) for f in fields]
+    random.Random(seed).shuffle(rows)
+    assert _in_key_order(rows) == tuple(sorted(rows, key=ScoreRow.key))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=st.lists(_row_fields, max_size=60), seed=st.integers(0, 2**16))
+def test_a_bad_row_is_named_as_after_one_sort_by_the_whole_key(fields, seed):
+    rows = [ScoreRow(*f) for f in fields]
+    random.Random(seed).shuffle(rows)
+
+    def outcome(given_rows):
+        try:
+            return ScoreTable(given_rows).rows
+        except ValidationError as exc:
+            return str(exc)
+    assert outcome(rows) == outcome(sorted(rows, key=ScoreRow.key))
 
 
 def test_score_out_of_range_rejected():
@@ -115,6 +146,30 @@ def test_collapsed_cannot_be_changed_by_a_caller():
     assert table.collapsed() == {key: 3.5}
 
 
+def test_collapsed_lookups_miss_with_a_key_error():
+    rows = [ScoreRow(c, "r", "m", "cand", "Clarity", 3, repeat=i) for c in ("c2", "c4") for i in (0, 1)]
+    collapsed = ScoreTable(rows).collapsed()
+    assert collapsed[("c2", "r", "m", "cand", "Clarity")] == 3.0
+    for absent in [("c1", "r", "m", "cand", "Clarity"), ("c3", "r", "m", "cand", "Clarity"),
+                   ("c5", "r", "m", "cand", "Clarity"), ("c2", "r", "m", "cand"),
+                   ("c2", "r", "m", "cand", "Clarity", 0), ("c2", 1, "m", "cand", "Clarity"),
+                   "c2", None]:
+        with pytest.raises(KeyError):
+            collapsed[absent]
+        assert absent not in collapsed
+        assert collapsed.get(absent) is None
+
+
+def test_collapsed_views_follow_key_order(mock_table):
+    collapsed = mock_table.collapsed()
+    keys = list(collapsed)
+    assert keys == sorted(keys) and len(keys) == len(collapsed) == len(collapsed.items())
+    assert list(collapsed.items()) == [(key, collapsed[key]) for key in keys]
+    assert list(collapsed.values()) == [collapsed[key] for key in keys]
+    assert collapsed.keys() == collapsed_by_lists(mock_table.rows).keys()
+    assert (keys[0], collapsed[keys[0]]) in collapsed.items()
+
+
 def test_slot_of_cannot_be_changed_by_a_caller():
     table = ScoreTable([ScoreRow("c", "r", "m", "cand", "Clarity", 3)], {("c", "cand"): "final"})
     slot_of = table.slot_of
@@ -149,8 +204,8 @@ def test_case_rows_keep_table_order_and_are_empty_for_unknown_cases():
     assert table.case_ids() == ["c1", "c2"]
 
 
-def test_csv_round_trip(mock_table):
-    text = table_to_csv(mock_table)
+def test_csv_round_trip(mock_table, tmp_path):
+    text = save_table_csv(mock_table, tmp_path / "scores.csv").read_bytes().decode("utf-8")
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
     loaded = table_from_csv(text)
     assert sorted(r.key() for r in loaded) == sorted(r.key() for r in mock_table)
@@ -163,10 +218,67 @@ def test_row_fields_are_in_csv_column_order():
     assert [f.removesuffix("_id") for f in ScoreRow._fields] == CSV_COLUMNS
 
 
-def test_csv_is_in_key_order_whatever_the_row_order(mock_table):
+def test_csv_is_in_key_order_whatever_the_row_order(mock_table, tmp_path):
     rows = list(mock_table.rows)
     random.Random(3).shuffle(rows)
-    assert table_to_csv(ScoreTable(rows)) == table_to_csv(mock_table)
+    shuffled = save_table_csv(ScoreTable(rows), tmp_path / "shuffled.csv")
+    assert shuffled.read_bytes() == save_table_csv(mock_table, tmp_path / "scores.csv").read_bytes()
+
+
+def test_the_streamed_csv_is_the_csv_text(tmp_path):
+    # fields the encoder must quote, and text that is not ASCII
+    odd = ["c,1", 'say "hi"', "two\nlines", "cr\r\nlf", "草木", " padded "]
+    rows = [ScoreRow(case, role, "m", "cand", "Clarity", 1 + i % 5, i)
+            for i, (case, role) in enumerate(zip(odd, reversed(odd)))]
+    table = ScoreTable(rows)
+    written = save_table_csv(table, tmp_path / "scores.csv").read_bytes()
+    assert written == csv_text(CSV_COLUMNS, table.rows).encode("utf-8")
+    assert b"\r\n" in written and written.endswith(b"\n")
+
+
+def _synthetic_rows(n_cases):
+    # every string exists before the rows, so the rows' own allocation is the tuples
+    cases = [f"case{c:04d}" for c in range(n_cases)]
+    rng = random.Random(17)
+    rows = [ScoreRow(case, role, model, cand, dim, rng.randint(1, 5), repeat)
+            for case in cases for role in ("R1", "R2") for model in ("gpt", "gemini")
+            for cand in ("human", "llm-final") for dim in ("Clarity", "Preference", "Confidence",
+                                                          "CognitiveLoad", "Transferability")
+            for repeat in (0, 1)]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_building_a_table_holds_no_key_per_row():
+    # 20,000 rows; a sort keyed by the whole row key held a 6-tuple per row,
+    # as much again as the rows themselves
+    tracemalloc.start()
+    try:
+        rows = _synthetic_rows(250)
+        rows_bytes, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        table = ScoreTable(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 20_000
+    assert peak - rows_bytes < rows_bytes / 2, (
+        f"building peaked at {(peak - rows_bytes) / 1e6:.2f} MB over rows of {rows_bytes / 1e6:.2f} MB")
+
+
+def test_saving_the_csv_holds_no_copy_of_the_file(tmp_path):
+    # building the whole text first held it about three times over; what is
+    # left is mostly the csv writer's own record buffer, a fixed 128 KB
+    table = ScoreTable(_synthetic_rows(250))
+    path = tmp_path / "scores.csv"
+    tracemalloc.start()
+    try:
+        save_table_csv(table, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size / 4, f"saving peaked at {peak / 1e6:.2f} MB for a file of {size / 1e6:.2f} MB"
 
 
 def test_from_records_unblinds_by_plan(corpus, roles, plans, tmp_path):

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import blindeval
+from blindeval import provider
 from blindeval.cli import main
 from blindeval.errors import TransportError
 from blindeval.fixtures import DEMO_ROLES, demo_corpus
@@ -40,10 +41,17 @@ SCENARIOS = {
     "503-then-200": ([(503, b"busy"), OK], 2, "done"),
     "400": ([(400, b"bad request")], 1, "status 400 after 1 attempt(s): bad request"),
     "401": ([(401, b"no key")], 1, "status 401 after 1 attempt(s): no key"),
-    "html": ([(200, b"<html><body>Proxy error</body></html>")], 1, "malformed completion body"),
+    # a proxy's error page: its line ends must not split the job's line
+    "502-html": ([(502, b"<html>\n<body>Bad gateway</body>\n</html>")], 4,
+                 "status 502 after 4 attempt(s): <html> <body>Bad gateway</body> </html>"),
+    "html": ([(200, b"<html><body>Proxy error</body></html>")], 1,
+             "malformed completion body: Expecting value: line 1 column 1 (char 0); "
+             "the body begins '<html><body>Proxy error</body></html>'"),
     "null-content": ([_reply(None)], 1, "malformed completion body"),
     "not-utf8": ([(200, '{"choices": [{"message": {"content": "café"}}]}'.encode("latin-1"))],
-                 1, "malformed completion body"),
+                 1, "malformed completion body: Expecting value: line 1 column 1 (char 0); "
+                    "the body begins \"reply body is not UTF-8: 'utf-8' codec can't decode "
+                    "byte 0xe9 in position 41"),
     "slow": ([SLOW], 4, "status None after 4 attempt(s): transport exception"),
     "stalled-body": ([STALL], 4, "status None after 4 attempt(s): transport exception"),
     "cut": ([CUT], 4, "status None after 4 attempt(s): transport exception"),
@@ -161,7 +169,8 @@ def test_evaluate_against_the_stub(one_case_run, tmp_path, stub, capsys, scenari
     else:
         assert code == 1
         _only_error_line(err, "1 evaluation job(s) failed; rerun with --resume")
-        [job_line] = [line for line in out.splitlines() if line.startswith("case1_R1_stub: ")]
+        dispatch, job_line, summary = out.splitlines()
+        assert dispatch.startswith("dispatch: ") and summary.startswith("0 record(s) done, ")
         assert job_line.startswith("case1_R1_stub: failed (TransportError: ")
         assert outcome in job_line
         assert not any((target / "transcripts").iterdir())
@@ -225,12 +234,26 @@ def test_backoff_doubles_per_retry_over_the_real_transport(tmp_path, stub, repli
     assert stub.attempts("backoff") == len(sleeps) + 1
 
 
-def test_an_endpoint_that_is_not_a_url_is_a_failed_attempt(tmp_path):
-    config = ProviderConfig(provider_id="stub", endpoint="127.0.0.1:9/v1", model="m",
-                            credential_env="", max_retries=0)
-    with pytest.raises(TransportError) as info:
-        complete(config, [{"role": "user", "content": "hi"}], TranscriptStore(tmp_path))
-    assert info.value.status is None and "unknown url type" in str(info.value)
+def test_an_endpoint_that_is_not_an_http_url_is_a_config_error(one_case_run, tmp_path, capsys,
+                                                                 monkeypatch):
+    calls = []
+    monkeypatch.setattr(provider, "http_transport", lambda *args: calls.append(args))
+    target = tmp_path / "run"
+    shutil.copytree(one_case_run, target)
+    for endpoint in ("127.0.0.1:9/v1", "localhost:9/v1", "ftp://127.0.0.1/v1", "http:///v1"):
+        write_json(target / "providers.json", {"stub": {"endpoint": endpoint, "model": "m",
+                                                        "credential_env": ""}})
+        for verb in (["evaluate", "--models", "stub"],
+                     ["scaffold", "start", "--case", "case1", "--model", "stub"]):
+            capsys.readouterr()
+            assert main(["-C", str(target), *verb]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            _only_error_line(err, f"error: ProviderConfigError: provider 'stub' in "
+                                  f"{target / 'providers.json'}: endpoint {endpoint!r} "
+                                  "is not an http(s) URL")
+    assert calls == []
+    assert not any((target / "transcripts").iterdir())
 
 
 # --- import hygiene ------------------------------------------------------------
