@@ -82,8 +82,8 @@ def plan_grid(
             raise ValidationError(f"case {case.id!r} has no blind plan; run blinding first")
     jobs = []
     for case in corpus:
-        for role in sorted(roles):
-            for model in sorted(models):
+        for role in sorted(set(roles)):
+            for model in sorted(set(models)):
                 for rep in range(repeats):
                     jobs.append(EvaluationJob(case.id, role, model, repeat_index=rep))
     jobs.sort(key=EvaluationJob.sort_key)

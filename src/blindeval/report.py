@@ -15,7 +15,7 @@ from .corpus import Corpus
 from .errors import StatsError, ValidationError
 from .persona import DIMENSIONS
 from .scoretable import ScoreTable
-from .store import csv_text, write_text
+from .store import write_csv, write_text
 
 #: Reference values reported by the source study; the raw per-rating data
 #: behind them is unpublished, so the harness documents rather than
@@ -137,19 +137,24 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def radar_csv(radar: list[DimensionSummary]) -> str:
-    return csv_text(["dimension", "candidate", "mean", "min", "max", "n"],
-                    [(s.dimension, s.candidate, _fmt(s.mean), s.min, s.max, s.n) for s in radar])
+RADAR_COLUMNS = ["dimension", "candidate", "mean", "min", "max", "n"]
+ROLES_COLUMNS = ["role", "candidate", "mean", "range", "n"]
+CASE_COLUMNS = ["candidate", "slot", "mean", "mean_2dp", "n"]
 
 
-def roles_csv(roles: list[RoleSummary]) -> str:
-    return csv_text(["role", "candidate", "mean", "range", "n"],
-                    [(s.role, s.candidate, _fmt(s.mean), s.range, s.n) for s in roles])
+def radar_csv(radar: list[DimensionSummary]) -> list[tuple]:
+    """The rows of ``radar.csv`` under RADAR_COLUMNS."""
+    return [(s.dimension, s.candidate, _fmt(s.mean), s.min, s.max, s.n) for s in radar]
 
 
-def case_csv(rows: list[CaseTableRow]) -> str:
-    return csv_text(["candidate", "slot", "mean", "mean_2dp", "n"],
-                    [(r.candidate_id, r.slot, _fmt(r.mean), r.mean_display, r.n) for r in rows])
+def roles_csv(roles: list[RoleSummary]) -> list[tuple]:
+    """The rows of ``roles.csv`` under ROLES_COLUMNS."""
+    return [(s.role, s.candidate, _fmt(s.mean), s.range, s.n) for s in roles]
+
+
+def case_csv(rows: list[CaseTableRow]) -> list[tuple]:
+    """The rows of ``cases/<case>.csv`` under CASE_COLUMNS."""
+    return [(r.candidate_id, r.slot, _fmt(r.mean), r.mean_display, r.n) for r in rows]
 
 
 def format_test_result(result: stats.TestResult) -> str:
@@ -309,15 +314,11 @@ def build_report(
     report_dir = Path(report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
     (report_dir / "cases").mkdir(exist_ok=True)
-    written = []
-
-    def emit(relpath: str, content: str):
-        written.append(write_text(report_dir / relpath, content))
-
     aggregates = aggregate(table)
-    emit("radar.csv", radar_csv(aggregates.radar))
-    emit("roles.csv", roles_csv(aggregates.roles))
-    for case_id, rows in aggregates.cases.items():
-        emit(f"cases/{case_id}.csv", case_csv(rows))
-    emit("report.md", report_markdown(table, corpus, plans, aggregates))
+    written = [write_csv(report_dir / "radar.csv", RADAR_COLUMNS, radar_csv(aggregates.radar)),
+               write_csv(report_dir / "roles.csv", ROLES_COLUMNS, roles_csv(aggregates.roles))]
+    written += [write_csv(report_dir / "cases" / f"{case_id}.csv", CASE_COLUMNS, case_csv(rows))
+                for case_id, rows in aggregates.cases.items()]
+    written.append(write_text(report_dir / "report.md",
+                              report_markdown(table, corpus, plans, aggregates)))
     return written

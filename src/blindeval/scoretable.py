@@ -16,7 +16,7 @@ import functools
 import itertools
 import operator
 import types
-from collections.abc import ItemsView, Iterable, Mapping, ValuesView
+from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
@@ -97,15 +97,16 @@ class ScoreTable:
         # rows are in key order, so each case is one contiguous run of them
         return {case_id: tuple(run) for case_id, run in itertools.groupby(self.rows, _case)}
 
-    def collapsed(self) -> Mapping[tuple, float]:
-        """Mean over repeat indices: (case, role, model, candidate, dim) -> score.
-
-        Read-only: every call returns the same mapping.  It holds one row of
-        each cell and the cell's mean, not a key tuple per cell."""
-        return self._collapsed
+    def collapsed(self) -> Iterator[tuple[tuple[str, str, str, str, str], float]]:
+        """(cell, mean over its repeats) for each (case, role, model,
+        candidate, dimension) cell, in key order.  Every call reads the same
+        two stored tuples, one row of each cell and the means; a cell's key
+        tuple is made only while iterating."""
+        rows, means = self._collapsed
+        return zip(map(_cell, rows), means)
 
     @functools.cached_property
-    def _collapsed(self) -> "_Collapsed":
+    def _collapsed(self) -> tuple[tuple[ScoreRow, ...], tuple[float, ...]]:
         cell_rows, means = [], []
         for _, repeats in itertools.groupby(self.rows, _cell):
             total = 0
@@ -113,7 +114,7 @@ class ScoreTable:
                 total += row.score
             cell_rows.append(row)
             means.append(total / count)
-        return _Collapsed(tuple(cell_rows), tuple(means))
+        return tuple(cell_rows), tuple(means)
 
     def transformed(self, fn) -> "ScoreTable":
         """Same table with fn applied to every score; for invariance checks.
@@ -127,55 +128,6 @@ class ScoreTable:
                                     r.dimension, fn(r.score), r.repeat) for r in self.rows)
         clone._slot_map = dict(self._slot_map)
         return clone
-
-
-class _Collapsed(Mapping):
-    """Read-only map of a table's cells to their means.  It stores one row
-    of each cell, in key order, and the means beside them; a key tuple is
-    built only while iterating, and a lookup bisects the rows."""
-
-    __slots__ = ("_rows", "_means")
-
-    def __init__(self, rows: tuple[ScoreRow, ...], means: tuple[float, ...]):
-        self._rows = rows
-        self._means = means
-
-    def __len__(self):
-        return len(self._rows)
-
-    def __iter__(self):
-        return map(_cell, self._rows)
-
-    def __getitem__(self, cell):
-        rows = self._rows
-        try:
-            i = bisect.bisect_left(rows, cell, key=_cell)
-        except TypeError:   # a key that does not compare with a cell's
-            raise KeyError(cell) from None
-        if i == len(rows) or _cell(rows[i]) != cell:
-            raise KeyError(cell)
-        return self._means[i]
-
-    # views whose iterators read the stored tuples; the ABC's look up every key
-    def items(self):
-        return _CollapsedItems(self)
-
-    def values(self):
-        return _CollapsedValues(self)
-
-
-class _CollapsedItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._means)
-
-
-class _CollapsedValues(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return iter(self._mapping._means)
 
 
 def _in_key_order(rows: Iterable[ScoreRow]) -> tuple[ScoreRow, ...]:

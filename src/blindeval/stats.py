@@ -340,7 +340,7 @@ def cross_model_agreement(table: ScoreTable) -> AgreementResult:
         raise StatsError(f"cross-model agreement needs exactly 2 models, table has {len(models)}")
     pick = operator.itemgetter(0, 1, 3, 4)
     _, rows, excluded = complete_units(
-        ((pick(key), key[2], score) for key, score in table.collapsed().items()), models)
+        ((pick(key), key[2], score) for key, score in table.collapsed()), models)
     x = [row[0] for row in rows]
     y = [row[1] for row in rows]
     return AgreementResult(spearman=_noting_excluded(spearman_rho(x, y), excluded),
@@ -352,7 +352,7 @@ def cross_role_agreement(table: ScoreTable, model_id: str) -> TestResult:
     each object summarized by its mean over dimensions; an object counts
     only when every role scored it."""
     cells = [((case_id, cand_id), role_id, score)
-             for (case_id, role_id, mid, cand_id, _), score in table.collapsed().items()
+             for (case_id, role_id, mid, cand_id, _), score in table.collapsed()
              if mid == model_id]
     roles = sorted({role_id for _, role_id, _ in cells})
     if len(roles) < 2:
@@ -398,8 +398,7 @@ def battery_blocks(table: ScoreTable, blocking=DEFAULT_BLOCKING):
     pick = operator.itemgetter(0, 3, *(_BLOCK_FIELDS[b] for b in blocking))
     slot_of = table.slot_of
     slots = sorted(set(slot_of.values()))
-    collapsed = table.collapsed()
-    picked = zip(map(pick, collapsed), collapsed.values())
+    picked = ((pick(cell), score) for cell, score in table.collapsed())
     _, rows, excluded = complete_units(
         ((k[2:], slot_of[k[:2]], score) for k, score in picked), slots)
     return slots, rows, excluded

@@ -1,11 +1,12 @@
 """The on-disk format of every file in a run directory.
 
-One writer (UTF-8 bytes with LF line ends on every platform), one CSV
-encoder, which gives text or streams a file in that same form, canonical
-JSON (two-space indent, sorted keys and a trailing newline), one reader that turns any unreadable file into a
-RunDirectoryError naming it, and one decoder from JSON documents to
-dataclasses.  ``from_doc`` decodes by the dataclass's type hints and
-rejects unknown and missing fields, so a typo never silently drops data.
+One text writer (UTF-8 bytes with LF line ends on every platform), one CSV
+writer, which streams a file in that same form, canonical JSON (two-space
+indent, sorted keys and a trailing newline), one reader that turns any
+unreadable file into a RunDirectoryError naming it, and one decoder from
+JSON documents to dataclasses.  ``from_doc`` decodes by the dataclass's
+type hints and rejects unknown and missing fields, so a typo never silently
+drops data.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import codecs
 import csv
 import dataclasses
 import functools
-import io
 import json
 import types
 import typing
@@ -55,26 +55,14 @@ def write_json(path: Path, obj) -> Path:
     return write_text(path, dumps(obj))
 
 
-def csv_text(header, rows) -> str:
-    """CSV text of ``header`` then ``rows``, with LF line ends."""
-    buf = io.StringIO()
-    _write_csv_rows(buf, header, rows)
-    return buf.getvalue()
-
-
 def write_csv(path: Path, header, rows) -> Path:
-    """Write ``csv_text(header, rows)`` to ``path`` as UTF-8, streamed row by
-    row rather than built whole first."""
+    """Write ``header`` then ``rows`` to ``path`` as CSV in UTF-8, each line
+    ending in LF, streamed row by row rather than built whole first."""
     with open(path, "w", encoding="utf-8", newline="") as file:
-        _write_csv_rows(file, header, rows)
+        writer = csv.writer(file, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     return Path(path)
-
-
-def _write_csv_rows(file, header, rows) -> None:
-    """The one CSV encoder: ``header`` then ``rows``, each line ending in LF."""
-    writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
 
 
 def read_json(path: Path):

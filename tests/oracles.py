@@ -176,6 +176,16 @@ def kendall_w_oracle(rows):
     return (12 * s2 - 3 * m * m * n * (n + 1) ** 2) / (m * m * n * (n * n - 1) - m * ties)
 
 
+def csv_text(header, rows):
+    """CSV text of ``header`` then ``rows`` with LF line ends, built in
+    memory by ``csv.writer``: what ``store.write_csv`` should stream."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def table_from_csv(text):
     """A score table read back from the text ``scoretable.save_table_csv`` writes."""
     reader = csv.reader(io.StringIO(text))

@@ -190,6 +190,18 @@ def test_evaluate_mock_and_resume(run_dir, tmp_path, capsys):
     assert len(list((run_dir / "transcripts").glob("*.json"))) == n_transcripts + 1
 
 
+def test_repeated_models_and_roles_plan_each_cell_once(run_dir, tmp_path, capsys):
+    _add_demo_cases(run_dir, tmp_path)
+    _write_fixture_assets(run_dir)
+    assert main(["-C", str(run_dir), "blind"]) == 0
+    capsys.readouterr()
+    assert main(["-C", str(run_dir), "evaluate", "--models", "gpt,gpt", "--roles", "R1,R1",
+                 "--mock"]) == 0
+    assert "4 record(s) done, 0 failed, 4 job(s) total" in capsys.readouterr().out
+    assert len(list((run_dir / "transcripts").glob("*.json"))) == 4
+    assert len(list((run_dir / "records").glob("*.json"))) == 4
+
+
 @pytest.mark.parametrize("personas, cases, models, names", [
     (False, True, "gpt,gemini", "personas"),
     (True, False, "gpt,gemini", "cases"),
@@ -504,6 +516,51 @@ def test_out_of_range_provider_setting_is_a_single_line_error(full_run, tmp_path
     assert main(["-C", str(target), "evaluate", "--models", "acme", "--roles", "R1"]) == 1
     _single_error_line(capsys, "error: ValidationError", "providers.json", key)
     assert not any((target / "transcripts").glob("acme-*"))
+
+
+def test_no_command_prints_the_help_and_exits_2(capsys):
+    assert main([]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("usage:") and err == ""
+
+
+def test_blind_with_no_cases_is_a_single_line_error(run_dir, capsys):
+    capsys.readouterr()
+    assert main(["-C", str(run_dir), "blind"]) == 1
+    _single_error_line(capsys, "error: ValidationError", "no cases to blind")
+    assert list((run_dir / "blinding").iterdir()) == []
+    assert list((run_dir / "transcripts").iterdir()) == []
+
+
+def _empty_persona(target):
+    (target / "personas" / "R1.txt").write_text("\n", encoding="utf-8")
+
+
+def _template_without_separator(target):
+    path = target / "templates" / "questionnaire.default"
+    path.write_text(path.read_text(encoding="utf-8").replace("<<<blocks>>>", ""),
+                    encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage, options, message", [
+    (None, ["--models", "acme", "--roles", "R1"], "unknown provider 'acme'"),
+    (None, ["--models", "gpt", "--mock", "--repeats", "0"], "repeats must be >= 1"),
+    (None, ["--models", "gpt", "--mock", "--concurrency", "0"], "concurrency limit must be >= 1"),
+    (_empty_persona, ["--models", "gpt", "--mock"], "role 'R1' has empty persona text"),
+    (_template_without_separator, ["--models", "gpt", "--mock"],
+     "lacks the intro/blocks separator"),
+], ids=["unknown-model", "repeats-0", "concurrency-0", "empty-persona", "template-separator"])
+def test_a_refused_evaluate_is_a_single_line_error_and_calls_no_judge(full_run, tmp_path, capsys,
+                                                                      damage, options, message):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    if damage:
+        damage(target)
+    transcripts = sorted((target / "transcripts").iterdir())
+    capsys.readouterr()
+    assert main(["-C", str(target), "evaluate", *options]) == 1
+    _single_error_line(capsys, "error: ValidationError", message)
+    assert sorted((target / "transcripts").iterdir()) == transcripts
 
 
 def test_case_add_of_non_json_file_is_a_single_line_error(run_dir, tmp_path, capsys):

@@ -12,7 +12,7 @@ from blindeval.persona import DIMENSIONS
 from blindeval.report import (aggregate, build_report, case_csv, case_table, radar_csv,
                               radar_data, report_markdown, role_range_data, roles_csv)
 from blindeval.scoretable import ScoreRow, ScoreTable, save_table_csv
-from oracles import case_table_full_scan, radar_full_scan, table_from_csv
+from oracles import case_table_full_scan, csv_text, radar_full_scan, table_from_csv
 
 DIMS = ("Clarity", "CognitiveLoad", "Confidence", "Preference", "Transferability")
 
@@ -68,9 +68,9 @@ def test_case_table_renders_reference_style_values():
     by_id = {r.candidate_id: r for r in case_table(table, "c1")}
     assert by_id["base"].mean_display == "4.87"
     assert by_id["adj"].mean_display == "3.50"
-    text = case_csv(case_table(table, "c1"))
-    assert "base,base,4.87,4.87,100" in text
-    assert "adj,adj,3.5,3.50,100" in text
+    rows = case_csv(case_table(table, "c1"))
+    assert ("base", "base", "4.87", "4.87", 100) in rows
+    assert ("adj", "adj", "3.5", "3.50", 100) in rows
 
 
 def test_case_table_unknown_case():
@@ -107,11 +107,16 @@ def test_every_mean_recomputable_from_exported_csv(mock_table, tmp_path):
             assert abs(row.mean - sum(values) / len(values)) < 1e-9
 
 
-def test_csv_emission_is_parseable(mock_table):
-    for text in (radar_csv(radar_data(mock_table)), roles_csv(role_range_data(mock_table))):
-        rows = list(csv.reader(io.StringIO(text)))
-        assert len(rows) > 1
-        assert all(len(r) == len(rows[0]) for r in rows)
+def test_csv_emission_is_parseable(mock_table, corpus, plans, tmp_path):
+    build_report(tmp_path, mock_table, corpus, plans)
+    for name, header, rows in (
+            ("radar.csv", report.RADAR_COLUMNS, radar_csv(radar_data(mock_table))),
+            ("roles.csv", report.ROLES_COLUMNS, roles_csv(role_range_data(mock_table)))):
+        text = (tmp_path / name).read_bytes().decode("utf-8")
+        assert text == csv_text(header, rows)
+        parsed = list(csv.reader(io.StringIO(text)))
+        assert len(parsed) > 1
+        assert all(len(r) == len(header) for r in parsed)
 
 
 def test_report_generation_deterministic(mock_table, corpus, plans, tmp_path):
