@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .corpus import SourceCase
 from .errors import BlindingError, BlindingLeakError, ValidationError
 from .rng import Splitmix64, mix_seed
-from .store import from_doc, read_json, write_json
+from .store import Documents
 
 ALGORITHM = "splitmix64/fisher-yates/v1"
 FIXTURE_ALGORITHM = "fixture/paper-layout"
@@ -169,15 +170,12 @@ def assert_no_leaks(text: str, case: SourceCase, where: str) -> None:
 # --- persistence -------------------------------------------------------------
 
 def save_plan(plan: BlindPlan, blinding_dir: Path) -> Path:
-    return write_json(Path(blinding_dir) / f"{plan.case_id}.json", plan)
+    return Documents(blinding_dir, BlindPlan, attrgetter("case_id")).save(plan)
 
 
 def load_plans(blinding_dir: Path) -> dict[str, BlindPlan]:
-    plans = {}
-    for path in sorted(Path(blinding_dir).glob("*.json")):
-        plan = from_doc(BlindPlan, read_json(path), path)
-        plans[plan.case_id] = plan
-    return plans
+    plans = Documents(blinding_dir, BlindPlan, attrgetter("case_id")).load_all()
+    return {plan.case_id: plan for plan in plans}
 
 
 def _now() -> str:

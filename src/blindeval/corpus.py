@@ -10,10 +10,11 @@ blinding module's job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import DuplicateIdError, ValidationError
-from .store import from_doc, read_json, write_json
+from .store import Documents
 
 ORIGIN_HUMAN = "human"
 ORIGIN_BASELINE = "llm_baseline"
@@ -129,11 +130,11 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 
 
 def save_case(case: SourceCase, cases_dir: Path) -> Path:
-    return write_json(Path(cases_dir) / f"{case.id}.json", case)
+    return Documents(cases_dir, SourceCase, attrgetter("id")).save(case)
 
 
 def load_corpus(cases_dir: Path) -> Corpus:
     corpus = Corpus()
-    for path in sorted(Path(cases_dir).glob("*.json")):
-        corpus.add(from_doc(SourceCase, read_json(path), path))
+    for case in Documents(cases_dir, SourceCase, attrgetter("id")).load_all():
+        corpus.add(case)
     return corpus

@@ -8,7 +8,6 @@ are keyed by public label only.
 
 from __future__ import annotations
 
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from .errors import HarnessError, ValidationError
 from .parse import parse_evaluation
 from .persona import QuestionnaireTemplate, ReaderRole, render_evaluation_prompt
 from .provider import ProviderConfig, TranscriptStore, complete
-from .store import from_doc, read_json, write_json
+from .store import Documents, check_id
 
 STATUS_PENDING = "pending"
 STATUS_RUNNING = "running"
@@ -77,6 +76,8 @@ def plan_grid(
     """Full grid, deterministically ordered by (case, role, model)."""
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
+    for value in (*(case.id for case in corpus), *roles, *models):
+        check_id(value)  # each is one part of a record key, so no two keys collide
     for case in corpus:
         if case.id not in plans:
             raise ValidationError(f"case {case.id!r} has no blind plan; run blinding first")
@@ -102,36 +103,15 @@ class JudgeContext:
     transports: dict[str, object] = field(default_factory=dict)  # model_id -> transport
 
 
-class RecordStore:
-    """One JSON file per evaluation record; each job writes only its own."""
+class RecordStore(Documents):
+    """records/<key>.json holds each evaluation record; each job writes only its own."""
 
     def __init__(self, directory: Path):
-        self.directory = Path(directory)
+        super().__init__(directory, EvaluationRecord, EvaluationRecord.key)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def path_for(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def exists(self, key: str) -> bool:
-        return self.path_for(key).exists()
-
-    def save(self, record: EvaluationRecord) -> Path:
-        return write_json(self.path_for(record.key()), record)
-
-    def load(self, key: str) -> EvaluationRecord:
-        return _read_record(self.path_for(key))
-
     def load_all(self) -> list[EvaluationRecord]:
-        # names sort as strings, far cheaper than Path objects
-        directory = self.directory
-        names = sorted(name for name in os.listdir(directory) if name.endswith(".json"))
-        records = [_read_record(os.path.join(directory, name)) for name in names]
-        records.sort(key=EvaluationRecord.sort_key)
-        return records
-
-
-def _read_record(path: str | Path) -> EvaluationRecord:
-    return from_doc(EvaluationRecord, read_json(path), path)
+        return sorted(super().load_all(), key=EvaluationRecord.sort_key)
 
 
 def execute_job(job: EvaluationJob, ctx: JudgeContext) -> EvaluationRecord:

@@ -15,13 +15,14 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import ProviderConfigError, TransportError, ValidationError
 from .persona import DIMENSIONS
 from .rng import Splitmix64, mix_seed
-from .store import from_doc, read_json, write_json
+from .store import Documents
 
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 
@@ -73,17 +74,14 @@ class Transcript:
         return [*sent, {"role": "assistant", "content": self.response_text}]
 
 
-class TranscriptStore:
-    """Append-only directory of transcripts, one JSON file per call."""
+class TranscriptStore(Documents):
+    """Append-only directory of transcripts, transcripts/<call_id>.json per call."""
 
     def __init__(self, directory: Path):
-        self.directory = Path(directory)
+        super().__init__(directory, Transcript, attrgetter("call_id"))
         self.directory.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._reserved: set[str] = set()
-
-    def path_for(self, call_id: str) -> Path:
-        return self.directory / f"{call_id}.json"
 
     def assign_call_id(self, provider_id: str, request_digest: str) -> str:
         """First free name for this call; reserved in memory so concurrent
@@ -93,18 +91,11 @@ class TranscriptStore:
         with self._lock:
             call_id = base
             n = 1
-            while call_id in self._reserved or self.path_for(call_id).exists():
+            while call_id in self._reserved or self.exists(call_id):
                 n += 1
                 call_id = f"{base}-{n}"
             self._reserved.add(call_id)
             return call_id
-
-    def save(self, transcript: Transcript) -> Path:
-        return write_json(self.path_for(transcript.call_id), transcript)
-
-    def load(self, call_id: str) -> Transcript:
-        path = self.path_for(call_id)
-        return from_doc(Transcript, read_json(path), path)
 
 
 def canonical_request(config: ProviderConfig, messages: list[dict[str, str]]) -> str:

@@ -13,12 +13,13 @@ the last user message its transcript sent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .corpus import ORIGIN_ADJUSTED, SourceCase, TranslationCandidate, save_case
 from .errors import StageError, ValidationError
 from .provider import ProviderConfig, TranscriptStore, complete
-from .store import from_doc, read_json, write_json
+from .store import Documents
 
 STAGE_BASELINE = "Baseline"
 STAGE_DIAGNOSE = "Diagnose"
@@ -130,28 +131,18 @@ def render_stage_prompt(stage: str, case: SourceCase, supplement: str = "") -> s
 
 # --- session store ----------------------------------------------------------------
 
-class SessionStore:
+class SessionStore(Documents):
     """sessions/<id>.json holds each session, one document per session."""
 
     def __init__(self, directory: Path):
-        self.directory = Path(directory)
+        super().__init__(directory, ScaffoldSession, attrgetter("session_id"))
         self.directory.mkdir(parents=True, exist_ok=True)
-
-    def path_for(self, session_id: str) -> Path:
-        return self.directory / f"{session_id}.json"
 
     def new_session_id(self, case_id: str, model: str) -> str:
         n = 1
-        while self.path_for(f"{case_id}-{model}-{n:02d}").exists():
+        while self.exists(f"{case_id}-{model}-{n:02d}"):
             n += 1
         return f"{case_id}-{model}-{n:02d}"
-
-    def save(self, session: ScaffoldSession) -> Path:
-        return write_json(self.path_for(session.session_id), session)
-
-    def load(self, session_id: str) -> ScaffoldSession:
-        path = self.path_for(session_id)
-        return from_doc(ScaffoldSession, read_json(path), path)
 
 
 @dataclass

@@ -6,7 +6,8 @@ indent, sorted keys and a trailing newline), one reader that turns any
 unreadable file into a RunDirectoryError naming it, and one decoder from
 JSON documents to dataclasses.  ``from_doc`` decodes by the dataclass's
 type hints and rejects unknown and missing fields, so a typo never silently
-drops data.
+drops data.  ``Documents`` names, saves and loads every ``<dir>/<id>.json``
+file, so one place checks an id and that a file holds the document it names.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import csv
 import dataclasses
 import functools
 import json
+import os
+import re
 import types
 import typing
 from collections.abc import Iterator
@@ -68,12 +71,17 @@ def write_csv(path: Path, header, rows) -> Path:
 def read_json(path: Path):
     """Parsed document at ``path``; a missing, undecodable or malformed
     file (UnicodeDecodeError and JSONDecodeError are ValueErrors) raises
-    RunDirectoryError.  The bytes are decoded as UTF-8 explicitly:
-    ``json.loads`` would also accept UTF-16 and UTF-32 bytes."""
+    RunDirectoryError, and so does a string holding a lone surrogate,
+    which no later write or print could encode.  The bytes are decoded as
+    UTF-8 explicitly: ``json.loads`` would also accept UTF-16 and UTF-32
+    bytes."""
     try:
         with open(path, "rb") as file:
-            data = file.read()
-        return json.loads(data.decode("utf-8"))
+            text = file.read().decode("utf-8")
+        doc = json.loads(text)
+        if "\\u" in text:  # only a \u escape spells a surrogate (dumps escapes controls alone)
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
     except (OSError, ValueError) as exc:
         raise _unreadable(path, exc) from None
 
@@ -105,6 +113,59 @@ def read_text_pieces(path: Path) -> Iterator[str]:
 def _unreadable(path, exc: Exception) -> RunDirectoryError:
     reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
     return RunDirectoryError(f"cannot read {path}: {reason}")
+
+
+# --- keyed documents -------------------------------------------------------------
+
+#: an id (of a case, role, model or call): no "_", which joins ids into a record
+#: key, nor a slash, a backslash or a leading "." to leave or hide in a directory
+_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9.-]{0,63}")
+_DOC_ID = re.compile(rf"{_ID.pattern}(?:_{_ID.pattern})*")
+
+
+def check_id(value: str, grammar: re.Pattern = _ID) -> str:
+    """``value`` if ``grammar`` matches all of it; else a ValidationError."""
+    if grammar.fullmatch(value) is None:
+        raise ValidationError(f"id {value!r} is not 1-64 ASCII letters, digits, '.' or '-' "
+                              "starting with a letter or digit (a file name joins ids by '_')")
+    return value
+
+
+class Documents:
+    """Documents of dataclass ``cls``, each the file ``<directory>/<id_of(doc)>.json``
+    in a directory that exists.  ``path_for`` is the one place an id becomes a
+    file name, and a document read whose id is not its file's name is refused."""
+
+    def __init__(self, directory: Path, cls, id_of):
+        self.directory = Path(directory)
+        self.cls = cls
+        self.id_of = id_of
+
+    def path_for(self, doc_id: str) -> Path:
+        return self.directory / f"{check_id(doc_id, _DOC_ID)}.json"
+
+    def exists(self, doc_id: str) -> bool:
+        return self.path_for(doc_id).exists()
+
+    def save(self, doc) -> Path:
+        return write_json(self.path_for(self.id_of(doc)), doc)
+
+    def load(self, doc_id: str):
+        return self._read(self.path_for(doc_id), doc_id)
+
+    def load_all(self) -> list:
+        """Every document, by file name (names sort as strings, far cheaper than Paths)."""
+        try:
+            names = sorted(name for name in os.listdir(self.directory) if name.endswith(".json"))
+        except OSError as exc:
+            raise _unreadable(self.directory, exc) from None
+        return [self._read(os.path.join(self.directory, name), name[:-5]) for name in names]
+
+    def _read(self, path: Path | str, doc_id: str):
+        doc = from_doc(self.cls, read_json(path), path)
+        if self.id_of(doc) != doc_id:
+            raise ValidationError(f"{path}: holds {self.id_of(doc)!r}, not the document it names")
+        return doc
 
 
 # --- the writer ------------------------------------------------------------------

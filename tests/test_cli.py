@@ -831,3 +831,121 @@ def test_a_failed_baseline_call_leaves_no_session(run_dir, tmp_path, capsys, mon
 def test_a_printed_reason_is_one_line_with_control_characters_escaped():
     reason = "502 from proxy:\r\n<html>\n\t<body>\x1b[31mBad\x00 gateway </body>\x85</html>\n"
     assert cli.one_line(reason) == r"502 from proxy: <html> <body>\x1b[31mBad\x00 gateway </body> </html>"
+
+
+# --- ids that cannot escape or collide, strings that encode, files that hold their name --
+
+
+def _listing(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+def test_case_add_of_an_escaping_id_is_a_single_line_error(run_dir, tmp_path, capsys):
+    case = demo_corpus().get("case1")
+    case.id = "../escaped"
+    path = write_json(tmp_path / "escaped.src.json", case)
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    assert main(["-C", str(run_dir), "case", "add", str(path)]) == 1
+    _single_error_line(capsys, "error: ValidationError", "'../escaped'")
+    assert _listing(tmp_path) == before
+
+
+def test_evaluate_of_an_escaping_model_id_is_refused_before_any_call(full_run, tmp_path, capsys):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    assert main(["-C", str(target), "evaluate", "--mock", "--models", "../../esc",
+                 "--roles", "R1"]) == 1
+    _single_error_line(capsys, "error: ValidationError", "'../../esc'")
+    assert _listing(tmp_path) == before
+
+
+def test_ids_whose_record_keys_collide_are_refused_before_any_call(run_dir, tmp_path, capsys):
+    for case_id in ("c", "c_R1"):
+        case = demo_corpus().get("case1")
+        case.id = case_id
+        assert main(["-C", str(run_dir), "case", "add",
+                     str(write_json(tmp_path / f"{case_id}.src.json", case))]) == 0
+    for role_id in ("R1", "R1_R1"):
+        (run_dir / "personas" / f"{role_id}.txt").write_text(f"Reader {role_id}.\n",
+                                                             encoding="utf-8")
+    assert main(["-C", str(run_dir), "blind"]) == 0
+    capsys.readouterr()
+    # (c, R1_R1) and (c_R1, R1) would both be record c_R1_R1_gpt
+    assert main(["-C", str(run_dir), "evaluate", "--models", "gpt", "--mock"]) == 1
+    _single_error_line(capsys, "error: ValidationError", "'c_R1'")
+    assert list((run_dir / "transcripts").iterdir()) == []
+    assert list((run_dir / "records").iterdir()) == []
+
+
+def _with_surrogate(path, key):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc[key] += "\ud800"
+    path.write_text(json.dumps(doc), encoding="ascii")  # the surrogate as a \u escape
+
+
+@pytest.mark.parametrize("relpath, key, argv", [
+    (None, "title", ["case", "add"]),
+    ("cases/case1.json", "title", ["case", "list"]),
+    ("records/case1_R1_gpt.json", "model_id", ["stats", "run"]),
+], ids=["case-add", "case-list", "stats-run"])
+def test_a_lone_surrogate_is_a_single_line_error(full_run, tmp_path, capsys, relpath, key, argv):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    path = target / relpath if relpath else tmp_path / "case9.src.json"
+    if not relpath:
+        case = demo_corpus().get("case1")
+        case.id = "case9"
+        write_json(path, case)
+        argv = [*argv, str(path)]
+    _with_surrogate(path, key)
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    assert main(["-C", str(target), *argv]) == 1
+    _single_error_line(capsys, "error: RunDirectoryError", path.name, "surrogates not allowed")
+    assert _listing(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "run"],
+    ["parse", "--replay", "all"],
+    ["evaluate", "--models", "gpt", "--mock", "--resume"],
+])
+def test_a_record_under_another_records_name_is_a_single_line_error(full_run, tmp_path, capsys,
+                                                                      argv):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    records = target / "records"
+    shutil.copyfile(records / "case1_R1_gpt.json", records / "case1_R2_gpt.json")
+    tree = {p: p.read_bytes() for p in target.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["-C", str(target), *argv]) == 1
+    _single_error_line(capsys, "error: ValidationError", "case1_R2_gpt.json",
+                       "holds 'case1_R1_gpt'")
+    assert {p: p.read_bytes() for p in target.rglob("*") if p.is_file()} == tree
+
+
+@pytest.mark.parametrize("sub", ["cases", "blinding"])
+def test_a_missing_document_directory_is_a_single_line_error(full_run, tmp_path, capsys, sub):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    shutil.rmtree(target / sub)
+    capsys.readouterr()
+    assert main(["-C", str(target), "stats", "run"]) == 1
+    _single_error_line(capsys, "error: RunDirectoryError", f"cannot read {target / sub}")
+
+
+def test_a_record_with_a_huge_repeat_index_is_a_single_line_error(full_run, tmp_path, capsys):
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    path = target / "records" / "case1_R1_gpt.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["repeat_index"] = 10 ** 400
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    records = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+    capsys.readouterr()
+    assert main(["-C", str(target), "parse", "--replay", "all"]) == 1
+    _single_error_line(capsys, "error: ValidationError", "case1_R1_gpt.json", "_r1000")
+    assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == records

@@ -58,9 +58,69 @@ def test_unreadable_files_raise_run_directory_error_naming_them(tmp_path):
     (tmp_path / "cut.json").write_text('{"case_id": "ca', encoding="utf-8")
     (tmp_path / "bytes.json").write_bytes(b'{"a": "\xff"}')
     (tmp_path / "utf16.json").write_text('{"a": 1}', encoding="utf-16")  # with a BOM
-    for name in ("cut.json", "bytes.json", "utf16.json", "missing.json"):
+    (tmp_path / "surrogate.json").write_text('{"a": ["x\\ud800"]}', encoding="utf-8")
+    for name in ("cut.json", "bytes.json", "utf16.json", "surrogate.json", "missing.json"):
         with pytest.raises(RunDirectoryError, match=name):
             read_json(tmp_path / name)
+
+
+def test_escapes_that_spell_characters_read_as_them(tmp_path):
+    (tmp_path / "doc.json").write_text('{"\\u0001": "\\ud83d\\ude00\\u00e9"}', encoding="utf-8")
+    assert read_json(tmp_path / "doc.json") == {"\x01": "\U0001f600\u00e9"}
+
+
+# --- keyed documents -------------------------------------------------------------
+
+
+def record_docs(directory):
+    return store.Documents(directory, EvaluationRecord, EvaluationRecord.key)
+
+
+def test_documents_save_and_load_round_trip(tmp_path):
+    record = make_record(repeat_index=2)
+    path = record_docs(tmp_path).save(record)
+    assert path == tmp_path / "case1_R1_gpt_r2.json" == record_docs(tmp_path).path_for(record.key())
+    assert path.read_text(encoding="utf-8") == store.dumps(record)
+    assert record_docs(tmp_path).exists("case1_R1_gpt_r2")
+    assert record_docs(tmp_path).load("case1_R1_gpt_r2") == record
+
+
+def test_documents_load_all_in_file_name_order(tmp_path):
+    keys = ["c10", "c9", "C2", "c1.5", "c-1"]
+    for case_id in keys:
+        record_docs(tmp_path).save(make_record(case_id=case_id))
+    (tmp_path / "notes.txt").write_text("not a document", encoding="utf-8")
+    loaded = record_docs(tmp_path).load_all()
+    assert [r.case_id for r in loaded] == sorted(keys) == ["C2", "c-1", "c1.5", "c10", "c9"]
+
+
+@pytest.mark.parametrize("case_id", [
+    "../escaped", "a/b", "a\\b", ".hidden", "-x", "", "a__b", "x" * 65, "caf\u00e9", "c\ud800",
+    "c\n"])
+def test_documents_refuse_an_id_outside_the_grammar_and_write_nothing(tmp_path, case_id):
+    directory = tmp_path / "records"
+    directory.mkdir()
+    record = make_record(case_id=case_id)
+    with pytest.raises(ValidationError, match="is not 1-64 ASCII letters"):
+        record_docs(directory).save(record)
+    with pytest.raises(ValidationError):
+        record_docs(directory).load(record.key())
+    assert [p for p in tmp_path.rglob("*")] == [directory]
+
+
+def test_check_id_refuses_the_key_separator():
+    assert store.check_id("case1.v2-x") == "case1.v2-x"
+    assert store.check_id("9" * 64) == "9" * 64
+    with pytest.raises(ValidationError, match="'c_R1'"):
+        store.check_id("c_R1")
+
+
+def test_documents_refuse_a_document_under_another_name(tmp_path):
+    path = record_docs(tmp_path).save(make_record())
+    path.rename(tmp_path / "case2_R1_gpt.json")
+    for load in (record_docs(tmp_path).load_all, lambda: record_docs(tmp_path).load("case2_R1_gpt")):
+        with pytest.raises(ValidationError, match=r"case2_R1_gpt\.json: holds 'case1_R1_gpt'"):
+            load()
 
 
 def test_crlf_document_reads_as_the_lf_one(tmp_path):
