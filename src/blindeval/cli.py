@@ -24,7 +24,7 @@ from .provider import (KNOWN_PROVIDERS, ProviderConfig, TranscriptStore, make_mo
 from .rng import mix_seed
 from .rundir import RunDirectory
 from .scoretable import save_table_csv, table_from_records
-from .store import dumps, from_doc, read_json, read_text, write_text
+from .store import check_id, dumps, from_doc, read_json, read_text, write_text
 
 
 def main(argv=None) -> int:
@@ -153,6 +153,7 @@ def cmd_case(run: RunDirectory, args) -> int:
     if args.case_command == "add":
         for file in args.files:
             case = from_doc(SourceCase, read_json(file), file)
+            check_id(case.id)   # one part of a record key, as evaluate will require
             corpus.add(case)
             violations = [v for v in validate_corpus(corpus) if v.case_id == case.id]
             if violations:

@@ -8,8 +8,8 @@ are keyed by public label only.
 
 from __future__ import annotations
 
+import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,7 +19,7 @@ from .errors import HarnessError, ValidationError
 from .parse import parse_evaluation
 from .persona import QuestionnaireTemplate, ReaderRole, render_evaluation_prompt
 from .provider import ProviderConfig, TranscriptStore, complete
-from .store import Documents, check_id
+from .store import Documents, Reading, check_id
 
 STATUS_PENDING = "pending"
 STATUS_RUNNING = "running"
@@ -110,8 +110,19 @@ class RecordStore(Documents):
         super().__init__(directory, EvaluationRecord, EvaluationRecord.key)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def load_all(self) -> list[EvaluationRecord]:
-        return sorted(super().load_all(), key=EvaluationRecord.sort_key)
+    def load_all(self) -> Reading:
+        """Every record in (case, role, model, repeat) order; see ``store.Reading``."""
+        return super().load_all(_sort_key_of_name)
+
+
+#: a record key: ids hold no "_", so a file name splits into its cell and repeat
+_KEY = re.compile(r"([^_]*)_([^_]*)_([^_]*)(?:_r(-?[0-9]+))?")
+
+
+def _sort_key_of_name(doc_id: str):
+    """The ``sort_key`` of the record named ``doc_id``; reading refuses any other name."""
+    key = _KEY.fullmatch(doc_id)
+    return (*key.group(1, 2, 3), int(key[4] or 0)) if key else (doc_id, "", "", 0)
 
 
 def execute_job(job: EvaluationJob, ctx: JudgeContext) -> EvaluationRecord:
@@ -252,6 +263,8 @@ def run_grid(
         return done
 
     if workers:
+        from concurrent.futures import ThreadPoolExecutor  # analysis-only processes never load it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(worker) for _ in range(workers)]
             try:

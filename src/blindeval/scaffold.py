@@ -19,7 +19,7 @@ from pathlib import Path
 from .corpus import ORIGIN_ADJUSTED, SourceCase, TranslationCandidate, save_case
 from .errors import StageError, ValidationError
 from .provider import ProviderConfig, TranscriptStore, complete
-from .store import Documents
+from .store import ID_MAX, Documents
 
 STAGE_BASELINE = "Baseline"
 STAGE_DIAGNOSE = "Diagnose"
@@ -139,6 +139,10 @@ class SessionStore(Documents):
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def new_session_id(self, case_id: str, model: str) -> str:
+        limit = ID_MAX - len(f"-{model}-01")
+        if len(case_id) > limit:
+            raise ValidationError(f"case id {case_id!r} is too long to name a {model!r} session: "
+                                  f"'<case>-{model}-NN' allows a case id of at most {limit} characters")
         n = 1
         while self.exists(f"{case_id}-{model}-{n:02d}"):
             n += 1

@@ -183,20 +183,23 @@ def table_from_records(
     Records must expose case_id, role_id, model_id, repeat_index, scores
     (public label -> dimension -> int) and a ``complete`` flag.  Records
     flagged incomplete are skipped unless ``include_incomplete`` is set,
-    in which case their present cells are used as-is.
+    in which case their present cells are used as-is.  The rows share one
+    string per distinct case, role, model and dimension, not one per record
+    that spelled it (candidate ids are the blind plans' own strings).
     """
     rows: list[ScoreRow] = []
     new_row = tuple.__new__     # ScoreRow(...) without its keyword handling
+    shared = {}.setdefault
     for rec in records:
         if not rec.complete and not include_incomplete:
             continue
-        case_id, role_id, model_id = rec.case_id, rec.role_id, rec.model_id
+        case_id, role_id, model_id = (shared(s, s) for s in (rec.case_id, rec.role_id, rec.model_id))
         repeat = rec.repeat_index
         plan = plan_for(plans, case_id)
         for label, per_dim in rec.scores.items():
             candidate_id = unblind(plan, int(label))
             rows.extend([new_row(ScoreRow, (case_id, role_id, model_id, candidate_id,
-                                            dimension, int(score), repeat))
+                                            shared(dimension, dimension), int(score), repeat))
                          for dimension, score in per_dim.items()])
     slot_map = slot_map_from_corpus(corpus) if corpus is not None else None
     return ScoreTable(rows, slot_map)

@@ -25,8 +25,9 @@ Conventions
   sign assignments for reduced n <= 20 (via a subset-sum count over
   doubled ranks), otherwise normal with tie and continuity corrections.
 * Missing data has one rule, listwise deletion: ``complete_units`` builds
-  every matrix over a ScoreTable and keeps only the units scored in every
-  column.  The units dropped are counted: ``excluded=N`` in an agreement
+  the cross-role and battery matrices over a ScoreTable and keeps only the
+  units scored in every column, and cross-model agreement keeps only the
+  cells both models scored.  The units dropped are counted: ``excluded=N`` in an agreement
   result's extras (shown only when N > 0), ``excluded_blocks`` in the battery.
 * Every mean, of a cell's repeats or of a ``complete_units`` cell, is a
   running sum, left to right in table order, divided by the count.
@@ -154,10 +155,11 @@ def kendall_w(ratings: list[list[float]]) -> TestResult:
         raise StatsError(f"need at least 2 objects, got {n}")
     if any(len(row) != n for row in ratings):
         raise StatsError("ragged ratings matrix")
-    ranked = [average_ranks(row) for row in ratings]
-    rank_sums = [sum(ranked[j][i] for j in range(m)) for i in range(n)]
+    rank_sums, ties = [0] * n, 0
+    for row in ratings:     # one judge's ranks at a time
+        rank_sums = list(map(operator.add, rank_sums, average_ranks(row)))
+        ties += tie_term(row)
     s2 = sum(r * r for r in rank_sums)
-    ties = sum(tie_term(row) for row in ratings)
     denom = m * m * n * (n * n - 1) - m * ties
     if denom <= 0:
         raise DegenerateInputError("all judges gave fully tied ratings; W undefined")
@@ -291,31 +293,36 @@ def bonferroni(results: list[TestResult], family_size: int) -> list[TestResult]:
 def complete_units(cells, columns):
     """Pivot (unit, column, score) triples into a units x columns matrix.
 
-    The columns are distinct.  Each unit keeps one flat list of running
-    column sums and counts.  A cell is its scores' sum, left to right in
-    the order given, over their count: the float ``sum(v) / len(v)`` gives
-    on Python 3.10/3.11, and the same on 3.12+, where ``sum()`` compensates
-    float sums.  Only units scored in every listed column are kept, sorted;
-    ``excluded`` counts the rest.  Each unit's sums are dropped as its row
-    is made, so the sums and the rows are never held whole at once.
-    Returns (units, rows, excluded).
+    The columns are distinct.  Running sums and counts are two flat lists
+    with one slot per (unit, column).  A cell is its scores' sum, left to
+    right in the order given, over their count: the float ``sum(v) /
+    len(v)`` gives on Python 3.10/3.11, and the same on 3.12+, where
+    ``sum()`` compensates float sums; a cell of one score is that score, no
+    new float.  Only units scored in every listed column are kept, sorted;
+    ``excluded`` counts the rest.  Returns (units, rows, excluded).
     """
-    slot = {column: 2 * j for j, column in enumerate(columns)}
-    grid: dict = {}
+    width, slot = len(columns), {column: j for j, column in enumerate(columns)}
+    start: dict = {}        # unit -> the slot of its first column
+    sums, counts = [], []
     for unit, column, score in cells:
-        acc = grid.get(unit) or grid.setdefault(unit, [0] * (2 * len(columns) + 2))
-        j = slot.get(column, -2)    # an unlisted column: the spare last pair
-        acc[j] += score
-        acc[j + 1] += 1
-    n_units = len(grid)
+        i = start.get(unit)
+        if i is None:
+            i = start[unit] = len(counts)
+            sums += [0] * width
+            counts += [0] * width
+        j = slot.get(column)
+        if j is not None:   # an unlisted column only makes its unit count
+            j += i
+            sums[j] = sums[j] + score if counts[j] else score
+            counts[j] += 1
     units, rows = [], []
-    for unit in sorted(grid):
-        acc = grid.pop(unit)
-        counts = acc[1:-2:2]
-        if all(counts):
+    for unit in sorted(start):
+        i = start[unit]
+        n = counts[i:i + width]
+        if all(n):
             units.append(unit)
-            rows.append(list(map(operator.truediv, acc[:-2:2], counts)))
-    return units, rows, n_units - len(units)
+            rows.append([total if k == 1 else total / k for total, k in zip(sums[i:i + width], n)])
+    return units, rows, len(start) - len(units)
 
 
 def _noting_excluded(result: TestResult, excluded: int) -> TestResult:
@@ -334,15 +341,25 @@ class AgreementResult:
 def cross_model_agreement(table: ScoreTable) -> AgreementResult:
     """Spearman over paired per-cell scores plus Kendall's W treating each
     model as a judge of the matched observations; a (case, role,
-    candidate, dimension) cell counts only when both models scored it."""
+    candidate, dimension) cell counts only when both models scored it.
+    Both models' cells of a (case, role) are one run of the collapse, the
+    first model's first, so the cells are paired run by run."""
     models = table.model_ids()
     if len(models) != 2:
         raise StatsError(f"cross-model agreement needs exactly 2 models, table has {len(models)}")
-    pick = operator.itemgetter(0, 1, 3, 4)
-    _, rows, excluded = complete_units(
-        ((pick(key), key[2], score) for key, score in table.collapsed()), models)
-    x = [row[0] for row in rows]
-    y = [row[1] for row in rows]
+    first = models[0]
+    x, y, excluded = [], [], 0
+    for _, run in itertools.groupby(table.collapsed(), lambda item: item[0][:2]):
+        unpaired: dict = {}     # (candidate, dimension) -> the first model's score
+        for (_, _, model_id, cand_id, dimension), score in run:
+            if model_id == first:
+                unpaired[cand_id, dimension] = score
+            elif (other := unpaired.pop((cand_id, dimension), None)) is not None:
+                x.append(other)
+                y.append(score)
+            else:
+                excluded += 1
+        excluded += len(unpaired)
     return AgreementResult(spearman=_noting_excluded(spearman_rho(x, y), excluded),
                            kendall=_noting_excluded(kendall_w([x, y]), excluded))
 
@@ -351,13 +368,13 @@ def cross_role_agreement(table: ScoreTable, model_id: str) -> TestResult:
     """Kendall's W with roles as judges and (case x candidate) objects,
     each object summarized by its mean over dimensions; an object counts
     only when every role scored it."""
-    cells = [((case_id, cand_id), role_id, score)
-             for (case_id, role_id, mid, cand_id, _), score in table.collapsed()
-             if mid == model_id]
-    roles = sorted({role_id for _, role_id, _ in cells})
+    roles = sorted({row[1] for row in table.rows if row[2] == model_id})
     if len(roles) < 2:
         raise StatsError(f"model {model_id!r} has {len(roles)} role(s); need at least 2")
-    _, rows, excluded = complete_units(cells, roles)
+    _, rows, excluded = complete_units(
+        (((case_id, cand_id), role_id, score)
+         for (case_id, role_id, mid, cand_id, _), score in table.collapsed() if mid == model_id),
+        roles)
     matrix = [[row[j] for row in rows] for j in range(len(roles))]
     return _noting_excluded(kendall_w(matrix), excluded)
 

@@ -76,8 +76,8 @@ def read_json(path: Path):
     UTF-8 explicitly: ``json.loads`` would also accept UTF-16 and UTF-32
     bytes."""
     try:
-        with open(path, "rb") as file:
-            text = file.read().decode("utf-8")
+        with open(path, "rb", buffering=0) as file:  # one read, no buffer or isatty probe
+            text = file.readall().decode("utf-8")
         doc = json.loads(text)
         if "\\u" in text:  # only a \u escape spells a surrogate (dumps escapes controls alone)
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
@@ -119,14 +119,15 @@ def _unreadable(path, exc: Exception) -> RunDirectoryError:
 
 #: an id (of a case, role, model or call): no "_", which joins ids into a record
 #: key, nor a slash, a backslash or a leading "." to leave or hide in a directory
-_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9.-]{0,63}")
+ID_MAX = 64
+_ID = re.compile(rf"[A-Za-z0-9][A-Za-z0-9.-]{{0,{ID_MAX - 1}}}")
 _DOC_ID = re.compile(rf"{_ID.pattern}(?:_{_ID.pattern})*")
 
 
 def check_id(value: str, grammar: re.Pattern = _ID) -> str:
     """``value`` if ``grammar`` matches all of it; else a ValidationError."""
     if grammar.fullmatch(value) is None:
-        raise ValidationError(f"id {value!r} is not 1-64 ASCII letters, digits, '.' or '-' "
+        raise ValidationError(f"id {value!r} is not 1-{ID_MAX} ASCII letters, digits, '.' or '-' "
                               "starting with a letter or digit (a file name joins ids by '_')")
     return value
 
@@ -153,19 +154,36 @@ class Documents:
     def load(self, doc_id: str):
         return self._read(self.path_for(doc_id), doc_id)
 
-    def load_all(self) -> list:
-        """Every document, by file name (names sort as strings, far cheaper than Paths)."""
+    def load_all(self, order=None) -> Reading:
+        """Every document, in file-name order (names sort as strings, far
+        cheaper than Paths) or by ``order`` of its id; see ``Reading``."""
         try:
-            names = sorted(name for name in os.listdir(self.directory) if name.endswith(".json"))
+            ids = [name[:-5] for name in sorted(os.listdir(self.directory)) if name.endswith(".json")]
         except OSError as exc:
             raise _unreadable(self.directory, exc) from None
-        return [self._read(os.path.join(self.directory, name), name[:-5]) for name in names]
+        return Reading(self, sorted(ids, key=order) if order else ids)
 
     def _read(self, path: Path | str, doc_id: str):
         doc = from_doc(self.cls, read_json(path), path)
         if self.id_of(doc) != doc_id:
             raise ValidationError(f"{path}: holds {self.id_of(doc)!r}, not the document it names")
         return doc
+
+
+class Reading:
+    """The documents of ``docs`` named ``ids``, each read when iteration
+    reaches it, so no more than one is held at a time.  Sized; each pass
+    reads every file again, so iterate it once."""
+
+    def __init__(self, docs: Documents, ids: list[str]):
+        self._docs, self._ids = docs, ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator:
+        directory, read = self._docs.directory, self._docs._read
+        return (read(os.path.join(directory, f"{doc_id}.json"), doc_id) for doc_id in self._ids)
 
 
 # --- the writer ------------------------------------------------------------------

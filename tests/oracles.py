@@ -5,13 +5,15 @@ Deliberately built on different machinery than the engine: numpy/scipy
 ranking, exact rational arithmetic, brute-force enumeration, permutation
 resampling, the no-ties Spearman shortcut, full scans of the score table
 for every report aggregate and every statistics matrix, the pivots as they
-were when they kept a list of scores per cell, the concept block the
+were when they kept a list of scores per cell and as they were when they
+kept sums per unit, Kendall's W as it was when it held every judge's ranks
+and the cross-model pairing as it was when it pivoted, the concept block the
 golden questionnaire copy was written for, the two-step JSON writer
 (``to_doc`` then json's own pretty-printer), the tree comparison as it was
 when it held both trees whole, the score parser as it was before its lines
 were prefiltered, and the heading splitter that reads a judge's reply as
-the six questionnaire blocks.  Nothing here imports from blindeval.stats,
-blindeval.report or blindeval.store.
+the six questionnaire blocks.  Nothing here imports from blindeval.report
+or blindeval.store, and from blindeval.stats only its result type.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import dataclasses
 import io
 import json
 import math
+import operator
 import re
 import sys
 from collections import Counter
@@ -29,11 +32,13 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import rankdata
 
-from blindeval.errors import ParseError
+from blindeval.errors import DegenerateInputError, ParseError
 from blindeval.parse import FencedBlockMissing, ParsedEvaluation
 from blindeval.persona import BLOCKS
 from blindeval.rundir import snapshot
 from blindeval.scoretable import CSV_COLUMNS, ScoreRow, ScoreTable
+from blindeval.special import chi2_sf
+from blindeval.stats import TestResult
 
 #: Block-1 concept list of the canonical questionnaire, as the golden copy
 #: (``data/questionnaire_golden.txt``) carries it, including its original
@@ -321,6 +326,56 @@ def complete_units_by_lists(cells, columns):
             continue
         units.append(unit)
     return units, rows, len(grid) - len(units)
+
+
+def complete_units_per_unit_sums(cells, columns):
+    """``stats.complete_units`` as it was before its running sums became two
+    flat lists: one list of column sums and counts per unit, each cell its
+    sum (from 0) over its count, so a cell of one score is a new float."""
+    slot = {column: 2 * j for j, column in enumerate(columns)}
+    grid: dict = {}
+    for unit, column, score in cells:
+        acc = grid.get(unit) or grid.setdefault(unit, [0] * (2 * len(columns) + 2))
+        j = slot.get(column, -2)    # an unlisted column: the spare last pair
+        acc[j] += score
+        acc[j + 1] += 1
+    units, rows = [], []
+    for unit in sorted(grid):
+        acc = grid[unit]
+        counts = acc[1:-2:2]
+        if all(counts):
+            units.append(unit)
+            rows.append(list(map(operator.truediv, acc[:-2:2], counts)))
+    return units, rows, len(grid) - len(units)
+
+
+def cross_model_pairs_by_units(table):
+    """(x, y, excluded) of cross-model agreement as it was paired before it
+    matched cells run by run: ``complete_units_per_unit_sums`` over (case,
+    role, candidate, dimension) units with the two models as columns."""
+    pick = operator.itemgetter(0, 1, 3, 4)
+    _, rows, excluded = complete_units_per_unit_sums(
+        ((pick(cell), cell[2], score) for cell, score in table.collapsed()), table.model_ids())
+    return [row[0] for row in rows], [row[1] for row in rows], excluded
+
+
+def kendall_w_ranked_matrix(ratings):
+    """``stats.kendall_w`` as it was before it added rank sums one judge at a
+    time: every judge's ranks (scipy's midranks) held at once, then summed
+    object by object, in the same float arithmetic as the engine."""
+    m, n = len(ratings), len(ratings[0])
+    ranked = [rankdata(row).tolist() for row in ratings]
+    rank_sums = [sum(ranked[j][i] for j in range(m)) for i in range(n)]
+    s2 = sum(r * r for r in rank_sums)
+    ties = sum(float(sum(t ** 3 - t for t in Counter(row).values() if t > 1)) for row in ratings)
+    denom = m * m * n * (n * n - 1) - m * ties
+    if denom <= 0:
+        raise DegenerateInputError("all judges gave fully tied ratings; W undefined")
+    w = max(0.0, min(1.0, (12.0 * s2 - 3.0 * m * m * n * (n + 1) ** 2) / denom))
+    chi2 = m * (n - 1) * w
+    return TestResult(test_name="kendall_w", statistic=w, p_value=chi2_sf(chi2, n - 1), df=n - 1,
+                      n_objects=n, n_judges=m, tie_correction_applied=ties > 0,
+                      extras={"chi_square": chi2})
 
 
 def collapsed_by_lists(rows):

@@ -11,7 +11,7 @@ import pytest
 
 from blindeval import blinding, cli, judge
 from blindeval.cli import main
-from blindeval.corpus import load_corpus
+from blindeval.corpus import load_corpus, save_case
 from blindeval.fixtures import demo_corpus
 from blindeval.provider import TranscriptStore
 from blindeval.rundir import RunDirectory, snapshot, trees_identical
@@ -495,6 +495,31 @@ def test_truncated_file_is_a_single_line_error(full_run, tmp_path, capsys, relpa
     _single_error_line(capsys, relpath)
 
 
+@pytest.mark.parametrize("damage", ["truncated", "odd-name", "directory"])
+@pytest.mark.parametrize("argv", [["stats", "export"], ["stats", "run"], ["report", "build"]])
+def test_a_bad_record_read_after_all_others_is_a_single_line_error(full_run, tmp_path, capsys,
+                                                                   argv, damage):
+    # records are read one at a time as the table is built, so this one is
+    # met only after every other record has become rows
+    target = tmp_path / "run"
+    shutil.copytree(full_run, target)
+    records = target / "records"
+    last = sorted(records.iterdir())[-1]
+    bad = {"truncated": last, "odd-name": records / "zz.json",
+           "directory": records / "zz_R1_gpt.json"}[damage]
+    if damage == "truncated":
+        last.write_text(last.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    elif damage == "odd-name":
+        shutil.copy(last, bad)
+    else:
+        bad.mkdir()
+    report = snapshot(target / "report")
+    capsys.readouterr()
+    assert main(["-C", str(target), *argv]) == 1
+    _single_error_line(capsys, f"records/{bad.name}")
+    assert snapshot(target / "report") == report
+
+
 def test_unknown_provider_key_is_a_single_line_error(full_run, tmp_path, capsys):
     target = tmp_path / "run"
     shutil.copytree(full_run, target)
@@ -851,6 +876,35 @@ def test_case_add_of_an_escaping_id_is_a_single_line_error(run_dir, tmp_path, ca
     assert _listing(tmp_path) == before
 
 
+def test_case_add_of_an_id_holding_the_key_separator_saves_nothing(run_dir, tmp_path, capsys):
+    case = demo_corpus().get("case1")
+    case.id = "c_R1"
+    path = write_json(tmp_path / "c_R1.src.json", case)
+    capsys.readouterr()
+    assert main(["-C", str(run_dir), "case", "add", str(path)]) == 1
+    _single_error_line(capsys, "error: ValidationError", "'c_R1'")
+    assert list((run_dir / "cases").iterdir()) == []
+
+
+def test_a_case_id_too_long_for_a_session_id_is_named_in_the_error(run_dir, tmp_path, capsys):
+    case = demo_corpus().get("case1")
+    case.id = "c" * 53      # fits the 64-character id rule; c...c-deepseek-01 does not
+    assert main(["-C", str(run_dir), "case", "add",
+                 str(write_json(tmp_path / "long.src.json", case))]) == 0
+    capsys.readouterr()
+    assert main(["-C", str(run_dir), "scaffold", "start", "--case", case.id,
+                 "--model", "deepseek", "--mock"]) == 1
+    _single_error_line(capsys, "error: ValidationError", f"case id '{case.id}'", "at most 52")
+    assert list((run_dir / "sessions").iterdir()) == []
+    assert list((run_dir / "transcripts").iterdir()) == []
+    case.id = "c" * 52
+    assert main(["-C", str(run_dir), "case", "add",
+                 str(write_json(tmp_path / "long.src.json", case))]) == 0
+    assert main(["-C", str(run_dir), "scaffold", "start", "--case", case.id,
+                 "--model", "deepseek", "--mock"]) == 0
+    assert (run_dir / "sessions" / f"{case.id}-deepseek-01.json").exists()
+
+
 def test_evaluate_of_an_escaping_model_id_is_refused_before_any_call(full_run, tmp_path, capsys):
     target = tmp_path / "run"
     shutil.copytree(full_run, target)
@@ -863,11 +917,10 @@ def test_evaluate_of_an_escaping_model_id_is_refused_before_any_call(full_run, t
 
 
 def test_ids_whose_record_keys_collide_are_refused_before_any_call(run_dir, tmp_path, capsys):
-    for case_id in ("c", "c_R1"):
+    for case_id in ("c", "c_R1"):   # case add refuses "c_R1", so both are written directly
         case = demo_corpus().get("case1")
         case.id = case_id
-        assert main(["-C", str(run_dir), "case", "add",
-                     str(write_json(tmp_path / f"{case_id}.src.json", case))]) == 0
+        save_case(case, run_dir / "cases")
     for role_id in ("R1", "R1_R1"):
         (run_dir / "personas" / f"{role_id}.txt").write_text(f"Reader {role_id}.\n",
                                                              encoding="utf-8")

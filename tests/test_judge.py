@@ -161,7 +161,7 @@ def test_record_round_trip(corpus, roles, plans, tmp_path):
     store = judge.RecordStore(tmp_path / "records")
     for record in records:
         assert store.load(record.key()) == record
-    assert store.load_all() == records
+    assert list(store.load_all()) == records
 
 
 def test_repeats_carry_repeat_index(corpus, roles, plans, tmp_path):

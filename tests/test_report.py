@@ -2,16 +2,22 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import random
+import tracemalloc
 
 import pytest
 
 from blindeval import report
+from blindeval.blinding import BlindPlan
 from blindeval.corpus import Corpus
+from blindeval.judge import EvaluationRecord
 from blindeval.persona import DIMENSIONS
 from blindeval.report import (aggregate, build_report, case_csv, case_table, radar_csv,
                               radar_data, report_markdown, role_range_data, roles_csv)
-from blindeval.scoretable import ScoreRow, ScoreTable, save_table_csv
+from blindeval.scoretable import ScoreRow, ScoreTable, save_table_csv, table_from_records
+from blindeval.stats import DEFAULT_BLOCKING
+from blindeval.store import from_doc
 from oracles import case_table_full_scan, csv_text, radar_full_scan, table_from_csv
 
 DIMS = ("Clarity", "CognitiveLoad", "Confidence", "Preference", "Transferability")
@@ -196,3 +202,34 @@ def test_build_report_computes_each_aggregate_once(monkeypatch, tmp_path):
                             lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
     build_report(tmp_path, multi_case_table(), Corpus(), {})
     assert sorted(calls) == ["case_table"] * 3 + ["radar_data", "role_range_data"]
+
+
+def test_a_48000_row_analysis_peaks_near_the_table_it_builds():
+    # 2,400 records of 4 candidates x 5 dimensions, each decoded from its own
+    # JSON text as it is reached, as a record store yields them.  The rows
+    # alone are 48,000 x 104 B = 5.0 MB.  With a list of all records, one
+    # string per record field, a sum list per pivot unit and every judge's
+    # ranks held at once, the table was 6.5 MB and the analysis peaked at 9.0.
+    rng = random.Random(29)
+    cases = [f"case{c:03d}" for c in range(100)]
+    texts = [json.dumps({"case_id": case_id, "role_id": role, "model_id": model,
+                         "repeat_index": repeat, "parse_mode": "fenced", "complete": True,
+                         "warnings": [], "call_id": "x",
+                         "scores": {label: {d: rng.randint(1, 5) for d in DIMS}
+                                    for label in range(1, 5)}})
+             for case_id in cases for role in ("R1", "R2", "R3") for model in ("gemini", "gpt")
+             for repeat in range(4)]
+    candidates = ("human", "llm-baseline", "llm-final", "other")
+    plans = {case_id: BlindPlan(case_id, None, "fixture", candidates, "") for case_id in cases}
+    tracemalloc.start()
+    try:
+        table = table_from_records((from_doc(EvaluationRecord, json.loads(text)) for text in texts),
+                                   plans)
+        built, _ = tracemalloc.get_traced_memory()
+        report.results_text(table, DEFAULT_BLOCKING)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 48_000
+    assert built < 5_800_000, f"the table holds {built / 1e6:.2f} MB"
+    assert peak < 7_600_000, f"building and analysing peaked at {peak / 1e6:.2f} MB"

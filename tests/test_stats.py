@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from blindeval import stats
 from blindeval.errors import DegenerateInputError, StatsError, ValidationError
 from blindeval.report import format_test_result, results_text
 from blindeval.scoretable import ScoreRow, ScoreTable, slot_map_from_corpus
@@ -19,9 +20,10 @@ from blindeval.stats import (DEFAULT_BLOCKING, average_ranks, battery_blocks, bo
                              wilcoxon_signed_rank)
 from concordance_fixtures import RATINGS_W073, RATINGS_W078
 from oracles import (battery_blocks_full_scan, brute_force_ranks, complete_units_by_lists,
+                     complete_units_per_unit_sums, cross_model_pairs_by_units,
                      cross_model_pairs_full_scan, cross_role_means_full_scan, friedman_chi2_exact,
-                     friedman_permutation_p, kendall_w_oracle, means_equal, rank_then_pearson,
-                     spearman_rho_shortcut, wilcoxon_exact_two_sided)
+                     friedman_permutation_p, kendall_w_oracle, kendall_w_ranked_matrix, means_equal,
+                     rank_then_pearson, spearman_rho_shortcut, wilcoxon_exact_two_sided)
 
 
 # --- average_ranks -----------------------------------------------------------------
@@ -394,6 +396,73 @@ def test_complete_units_matches_the_list_oracle(cells, columns):
     assert (units, excluded) == (oracle_units, oracle_excluded)
     assert list(map(len, rows)) == list(map(len, oracle_rows))
     assert means_equal([v for row in rows for v in row], [v for row in oracle_rows for v in row])
+
+
+def _seeded_table(seed):
+    """A table with cells missing, cells of one repeat and of two, and a
+    substitute ``b2`` sharing slot ``b``, so a battery cell sums two scores."""
+    rng = random.Random(seed)
+    cases = [f"c{c}" for c in range(6)]
+    rows = [ScoreRow(case, role, model, cand, dim, rng.randint(1, 5), repeat)
+            for case in cases for role in ("r1", "r2", "r3") for model in ("m1", "m2")
+            for cand in ("a", "b", "b2", "d") for dim in DIMS for repeat in (0, 1)
+            if rng.random() > 0.12]
+    return ScoreTable(rows, {(case, "b2"): "b" for case in cases})
+
+
+def _bits(result):
+    """A result's statistic, p and extras, each as the hex of its float."""
+    named = [("statistic", result.statistic), ("p", result.p_value), *sorted(result.extras.items())]
+    return [(name, float(value).hex()) for name, value in named]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_table_statistics_equal_the_per_unit_pivot_bit_for_bit(seed, monkeypatch):
+    table = _seeded_table(seed)
+    blockings = (DEFAULT_BLOCKING, ("role", "dimension"), ("case", "model"))
+
+    def statistics():
+        return ([cross_role_agreement(table, m) for m in ("m1", "m2")],
+                [version_difference_battery(table, b) for b in blockings])
+
+    model = cross_model_agreement(table)
+    roles, batteries = statistics()
+    monkeypatch.setattr(stats, "complete_units", complete_units_per_unit_sums)
+    monkeypatch.setattr(stats, "kendall_w", kendall_w_ranked_matrix)
+    x, y, excluded = cross_model_pairs_by_units(table)
+    old_model = [stats._noting_excluded(r, excluded)
+                 for r in (spearman_rho(x, y), kendall_w_ranked_matrix([x, y]))]
+    old_roles, old_batteries = statistics()
+    assert excluded > 0
+    assert [model.spearman, model.kendall] == old_model
+    assert list(map(_bits, [model.spearman, model.kendall])) == list(map(_bits, old_model))
+    assert roles == old_roles and list(map(_bits, roles)) == list(map(_bits, old_roles))
+    assert batteries == old_batteries
+    for battery, old in zip(batteries, old_batteries):
+        assert _bits(battery.friedman) == _bits(old.friedman)
+        assert [_bits(p.result) for p in battery.pairwise if p.result] == [
+            _bits(p.result) for p in old.pairwise if p.result]
+    assert batteries[0].excluded_blocks > 0     # the default blocking leaves blocks open
+
+
+def test_complete_units_gives_the_per_unit_sums_bits_and_reuses_single_scores():
+    rng = random.Random(11)
+    thirds = [n / 3 for n in range(3, 16)]
+    cells = [(rng.randrange(30), rng.choice("abcd"), rng.choice(thirds)) for _ in range(400)]
+    units, rows, excluded = complete_units(cells, ["a", "b", "c"])
+    assert (units, excluded) == complete_units_per_unit_sums(cells, ["a", "b", "c"])[::2]
+    oracle_rows = complete_units_per_unit_sums(cells, ["a", "b", "c"])[1]
+    assert [[v.hex() for v in row] for row in rows] == [[v.hex() for v in row] for row in oracle_rows]
+    single = [(0, "a", 4 / 3), (0, "b", 5 / 3)]
+    assert all(v is score for v, (_, _, score) in zip(complete_units(single, ["a", "b"])[1][0], single))
+
+
+def test_kendall_w_gives_the_ranked_matrix_bits():
+    rng = random.Random(8)
+    for m, n in ((2, 240), (3, 16), (5, 7), (40, 3)):
+        ratings = [[rng.choice((1.0, 2.5, 3.0, 4 / 3, 5.0)) for _ in range(n)] for _ in range(m)]
+        assert _bits(kendall_w(ratings)) == _bits(kendall_w_ranked_matrix(ratings))
+        assert kendall_w(ratings) == kendall_w_ranked_matrix(ratings)
 
 
 def test_table_statistics_hold_no_copy_per_row():

@@ -118,7 +118,8 @@ def test_check_id_refuses_the_key_separator():
 def test_documents_refuse_a_document_under_another_name(tmp_path):
     path = record_docs(tmp_path).save(make_record())
     path.rename(tmp_path / "case2_R1_gpt.json")
-    for load in (record_docs(tmp_path).load_all, lambda: record_docs(tmp_path).load("case2_R1_gpt")):
+    for load in (lambda: list(record_docs(tmp_path).load_all()),
+                 lambda: record_docs(tmp_path).load("case2_R1_gpt")):
         with pytest.raises(ValidationError, match=r"case2_R1_gpt\.json: holds 'case1_R1_gpt'"):
             load()
 
